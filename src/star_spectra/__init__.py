@@ -20,6 +20,7 @@ from .analytic import (
     f3_coefficients,
     f4,
     f4_coefficients,
+    f_components,
     f_expansion,
     f_total,
     k_formfactor,
@@ -77,6 +78,7 @@ __all__ = [
     "f3_coefficients",
     "f4",
     "f4_coefficients",
+    "f_components",
     "f_expansion",
     "f_total",
     "k_formfactor",

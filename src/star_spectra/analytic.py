@@ -43,6 +43,7 @@ __all__ = [
     "f3",
     "f4",
     "f_total",
+    "f_components",
     "f_expansion",
     "f3_coefficients",
     "f4_coefficients",
@@ -61,7 +62,10 @@ class Truncation:
     m_max       -- cutoff of each multi-index component (t, t', t'', s) and of
                    the power sum M in K; the two-variable series additionally
                    keep only total polynomial degree <= 2*m_max
-    quad_points -- Gauss-Legendre points per axis (composite panels of 16)
+    quad_points -- Gauss-Legendre points per axis: up to 16 form one panel,
+                   larger counts must be multiples of 16 (composite panels
+                   of 16), so the rule and its 2n-point refinement have
+                   exactly the requested sizes
     tau_cutoff  -- upper integration limit replacing infinity; the integrands
                    decay like exp(-4*tau) so the tail beyond 3-4 is negligible
     """
@@ -74,6 +78,8 @@ class Truncation:
     def __post_init__(self):
         if self.j_max < 1 or self.m_max < 1 or self.quad_points < 2:
             raise ValueError("cutoffs must be positive")
+        if self.quad_points > 16 and self.quad_points % 16:
+            raise ValueError("quad_points above 16 must be a multiple of 16")
         if self.tau_cutoff < 3:
             raise ValueError("tau_cutoff below 3 would truncate visible mass")
 
@@ -172,23 +178,20 @@ def _k_poly(trunc: Truncation) -> np.ndarray:
     return coeffs
 
 
-def k_formfactor(tau: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
+def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
     """Two-point form factor K(tau), truncated at (j_max, m_max).
 
-    The series is an expansion near tau = 0; arguments above 1/2 are outside
-    its validity and rejected.  K(0) = 1 exactly.
+    Accepts a scalar (returns a float) or an array (returns an array of the
+    same shape).  The series is an expansion near tau = 0; arguments above
+    1/2 are outside its validity and rejected.  K(0) = 1 exactly.
     """
-    if tau < 0:
+    taus = np.asarray(tau, dtype=float)
+    if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
-    if tau > 0.5:
+    if np.any(taus > 0.5):
         raise ValueError("form-factor series is only valid for tau <= 0.5")
-    poly = _k_poly(trunc)
-    return float(np.exp(-4.0 * tau) + np.polynomial.polynomial.polyval(tau, poly))
-
-
-def _k_values(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
-    poly = _k_poly(trunc)
-    return np.exp(-4.0 * taus) + np.polynomial.polynomial.polyval(taus, poly)
+    values = np.exp(-4.0 * taus) + np.polynomial.polynomial.polyval(taus, _k_poly(trunc))
+    return float(values) if taus.ndim == 0 else values
 
 
 # -------------------------------------------------------------- quadrature --
@@ -212,20 +215,26 @@ def _gl_panels(total_points: int, lo: float, hi: float):
     return nodes, weights
 
 
-def r2_analytic(x: float, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None) -> float:
+def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
     """Two-point correlation: 1 + symmetrized cosine transform of K.
 
     R2(x) = 1 + 2 * integral_0^T K(tau) cos(2 pi x tau) dtau with
     T = min(1/2, tau_cutoff).  The window is the form-factor series' validity
     domain, so this transform is an approximation controlled by the window,
-    not only by the truncation; it is even in x by construction.  `kernel`
-    replaces K for surrogate checks (e.g. the zero kernel gives the Poisson
-    answer R2 = 1 identically).
+    not only by the truncation; it is even in x by construction.  Accepts a
+    scalar x (returns a float) or an array (returns an array of its shape).
+    `kernel` replaces K for surrogate checks (e.g. the zero kernel gives the
+    Poisson answer R2 = 1 identically); it is called once, on the nodes.
     """
+    xs = np.asarray(x, dtype=float)
     upper = min(0.5, trunc.tau_cutoff)
     nodes, weights = _gl_panels(trunc.quad_points, 0.0, upper)
-    kv = _k_values(nodes, trunc) if kernel is None else np.asarray(kernel(nodes), dtype=float)
-    return float(1.0 + 2.0 * np.sum(weights * kv * np.cos(2.0 * np.pi * x * nodes)))
+    kv = k_formfactor(nodes, trunc) if kernel is None else np.asarray(kernel(nodes), dtype=float)
+    # associated as (2 pi x) * tau, so an array x gives each element the bits
+    # of the scalar call
+    phases = np.multiply.outer(2.0 * np.pi * xs, nodes)
+    values = 1.0 + 2.0 * np.sum(weights * kv * np.cos(phases), axis=-1)
+    return float(values) if xs.ndim == 0 else values
 
 
 # ------------------------------------------------------------ kernel F1, F2 --
@@ -290,14 +299,36 @@ def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
     return fine
 
 
+def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """F2 on taus x taus for ascending taus.
+
+    Row i is evaluated at (taus[i], taus[i:]), the argument order of the
+    scalar view, and mirrored into column i; each row carries its own
+    refinement check.
+    """
+    out = np.empty((taus.size, taus.size))
+    for i, tau in enumerate(taus):
+        out[i, i:] = _f2_rows(float(tau), taus[i:], trunc)
+        out[i:, i] = out[i, i:]
+    return out
+
+
+def _sorted_pair(tau: float, tau_p: float, upper: float):
+    """Shared argument check of the scalar views: (lo, hi) as 1-point grids.
+
+    The kernel is symmetric; fixing the argument order keeps the evaluation
+    path identical under swaps.
+    """
+    lo, hi = sorted((float(tau), float(tau_p)))
+    if not 0.0 <= lo <= hi <= upper:
+        raise ValueError(f"kernel arguments must lie in [0, {upper:g}]")
+    return np.array([lo]), np.array([hi])
+
+
 def f2(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Second kernel component (one- and two-dimensional Bessel integrals)."""
-    if tau < 0 or tau_p < 0:
-        raise ValueError("arguments must be nonnegative")
-    # the kernel is symmetric; fixing the argument order keeps the quadrature
-    # path identical under swaps
-    lo, hi = sorted((float(tau), float(tau_p)))
-    return float(_f2_rows(lo, np.array([hi]), trunc)[0])
+    lo, hi = _sorted_pair(tau, tau_p, np.inf)
+    return float(_f2_rows(float(lo[0]), hi, trunc)[0])
 
 
 # ------------------------------------------------------------ kernel F3, F4 --
@@ -616,35 +647,51 @@ def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndar
     return out.astype(float)
 
 
-def _check_series_domain(tau: float, tau_p: float) -> None:
-    if not (0.0 <= tau <= 1.0 and 0.0 <= tau_p <= 1.0):
-        raise ValueError(
-            "the alternating two-variable series only converges on [0, 1]^2"
-        )
+# the alternating two-variable series only converge on [0, 1]^2
+_SERIES_UPPER = 1.0
 
 
 def f3(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Third kernel component (triple-index alternating series), on [0,1]^2."""
-    _check_series_domain(tau, tau_p)
-    lo, hi = sorted((float(tau), float(tau_p)))
-    return float(_f3_grid(np.array([lo]), np.array([hi]), trunc)[0, 0])
+    return float(_f3_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc)[0, 0])
 
 
 def f4(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Fourth kernel component (split-orbit series), on [0,1]^2."""
-    _check_series_domain(tau, tau_p)
-    lo, hi = sorted((float(tau), float(tau_p)))
-    return float(_f4_grid(np.array([lo]), np.array([hi]), trunc)[0, 0])
+    return float(_f4_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc)[0, 0])
 
 
 def f_total(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Full three-point kernel F = F1 + F2 + F3 + F4 on the series domain."""
-    _check_series_domain(tau, tau_p)
+    _sorted_pair(tau, tau_p, _SERIES_UPPER)
     return (
         f1(tau, tau_p)
         + f2(tau, tau_p, trunc)
         + f3(tau, tau_p, trunc)
         + f4(tau, tau_p, trunc)
+    )
+
+
+def f_components(taus, trunc: Truncation = DEFAULT_TRUNCATION) -> tuple:
+    """F1, F2, F3 and F4 on the grid taus x taus, as four square arrays.
+
+    taus is an ascending 1-D sequence inside [0, 1], the series domain.  F1,
+    F2 and F4 carry the bits of the scalar views.  F3 selects its series
+    blocks once for the whole grid, from its largest point, where the scalar
+    view selects them per point; the blocks this adds are below the 1e-9
+    omission floor, so the two differ at that level at most.
+    """
+    taus = np.asarray(taus, dtype=float)
+    ascending = taus.ndim == 1 and taus.size > 0 and np.all(np.diff(taus) >= 0)
+    if not (ascending and 0.0 <= taus[0] and taus[-1] <= _SERIES_UPPER):
+        raise ValueError("taus must be a nonempty ascending 1-D sequence in [0, 1]")
+    f3_upper = np.triu(_f3_grid(taus, taus, trunc))
+    return (
+        f1(taus[:, None], taus[None, :]),
+        _f2_square(taus, trunc),
+        # mirrored, so swapped arguments give identical bits as in `f3`
+        f3_upper + np.triu(f3_upper, 1).T,
+        _f4_grid(taus, taus, trunc),
     )
 
 
@@ -691,10 +738,7 @@ def _three_cosines(x: float, y: float, taus: np.ndarray, tau_ps: np.ndarray) -> 
 def _f12_table(trunc: Truncation):
     """(nodes, weights, F1+F2 values) over [0, tau_cutoff]^2 quadrature grid."""
     nodes, weights = _gl_panels(trunc.quad_points, 0.0, trunc.tau_cutoff)
-    values = np.empty((len(nodes), len(nodes)))
-    for i, t in enumerate(nodes):
-        values[i] = f1(t, nodes) + _f2_rows(float(t), nodes, trunc)
-    return nodes, weights, values
+    return nodes, weights, f1(nodes[:, None], nodes[None, :]) + _f2_square(nodes, trunc)
 
 
 @lru_cache(maxsize=None)
@@ -772,10 +816,5 @@ def r3_full(
     surrogate hooks propagate to the building blocks (all-zero kernels give
     the Poisson answer 1 for every (x, y)).
     """
-    return (
-        r2_analytic(x, trunc, kernel=kernel)
-        + r2_analytic(y, trunc, kernel=kernel)
-        + r2_analytic(x - y, trunc, kernel=kernel)
-        - 2.0
-        + r3_connected(x, y, trunc, f12=f12, f34=f34)
-    )
+    r2_x, r2_y, r2_xy = r2_analytic(np.array([x, y, x - y]), trunc, kernel=kernel)
+    return float(r2_x + r2_y + r2_xy - 2.0 + r3_connected(x, y, trunc, f12=f12, f34=f34))

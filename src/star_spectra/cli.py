@@ -18,7 +18,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,8 @@ from .analytic import (
     DEFAULT_TRUNCATION,
     QuadratureError,
     Truncation,
-    f1,
-    f2,
-    f3,
-    f4,
+    f_components,
     f_expansion,
-    f_total,
     k_formfactor,
     r2_analytic,
     r3_full,
@@ -78,25 +75,19 @@ def _write_csv(path, header, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_manifest(argv, config_echo, outputs, started: float) -> str:
-    """JSON sidecar next to the first output, listing all outputs."""
-    entries = {}
-    for out in outputs:
-        data = Path(out).read_bytes()
-        entries[str(out)] = {
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        }
+def _write_manifest(argv, config_echo, output, started: float) -> None:
+    """JSON sidecar `<output>.manifest.json` describing the output."""
+    data = Path(output).read_bytes()
     manifest = {
         "command": "star-spectra " + " ".join(argv),
         "version": __version__,
         "config": config_echo,
         "wall_time_seconds": round(time.time() - started, 3),
-        "outputs": entries,
+        "outputs": {
+            str(output): {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        },
     }
-    path = str(outputs[0]) + ".manifest.json"
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    _write_text(f"{output}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_manifest(output_path) -> dict:
@@ -159,41 +150,59 @@ def _truncation_from(args) -> Truncation:
 
 
 def _ensemble_from(args, grid) -> EnsembleConfig:
-    if args.v < 1:
-        raise UsageError("--v must be at least 1")
-    if args.realizations < 1:
-        raise UsageError("--realizations must be at least 1")
-    if args.lambda_max <= 0:
-        raise UsageError("--lambda-max must be positive")
-    if args.kernel_width <= 0:
-        raise UsageError("--kernel-width must be positive")
     if args.threads is not None and args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    return EnsembleConfig(
-        v=args.v,
-        realizations=args.realizations,
-        lambda_max=args.lambda_max,
-        seed=args.seed,
-        kernel_width=args.kernel_width,
-        grid=grid,
-    )
+    try:
+        return EnsembleConfig(
+            v=args.v,
+            realizations=args.realizations,
+            lambda_max=args.lambda_max,
+            seed=args.seed,
+            kernel_width=args.kernel_width,
+            grid=grid,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _kernel_table(args):
+    """Echo and rows (tau, tau', F1, F2, F3, F4, F, expansion) of the F grid.
+
+    The grid is 0, step, 2*step, ... <= tau-max on both axes, as `analytic f`
+    and `expansion-table` print it.
+    """
+    trunc = _truncation_from(args)
+    if not 0 < args.tau_max <= 1.0:
+        raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
+    if not 0 < args.step <= args.tau_max:
+        raise UsageError("--step must lie in (0, tau-max]")
+    taus = np.arange(int(np.floor(args.tau_max / args.step + 1e-9)) + 1) * args.step
+    parts = f_components(taus, trunc)
+    total = parts[0] + parts[1] + parts[2] + parts[3]
+    rows = [
+        (tau, tau_p, *(p[i, k] for p in parts), total[i, k], f_expansion(float(tau), float(tau_p)))
+        for i, tau in enumerate(taus)
+        for k, tau_p in enumerate(taus)
+    ]
+    echo = {"truncation": asdict(trunc), "tau_max": args.tau_max, "step": args.step}
+    return echo, rows
 
 
 # ------------------------------------------------------------------ handlers --
+#
+# A handler returns either an exit code (it wrote no file) or the
+# configuration echo of the file it wrote to args.out; `main` then writes that
+# file's manifest.
 
 
-def _cmd_gen(args, argv) -> int:
-    started = time.time()
+def _cmd_gen(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
-    graph = build_graph(args.v, args.seed)
-    save_graph(graph, args.out)
-    _write_manifest(argv, {"v": args.v, "seed": args.seed}, [args.out], started)
-    return 0
+    save_graph(build_graph(args.v, args.seed), args.out)
+    return {"v": args.v, "seed": args.seed}
 
 
-def _cmd_spectrum(args, argv) -> int:
-    started = time.time()
+def _cmd_spectrum(args):
     if args.lambda_max <= 0:
         raise UsageError("--lambda-max must be positive")
     try:
@@ -206,15 +215,13 @@ def _cmd_spectrum(args, argv) -> int:
         for i, lam in enumerate(np.asarray(spectrum.eigenvalues), start=1)
     ]
     _write_csv(args.out, ("index", "lambda"), rows)
-    echo = {
+    return {
         "graph": {"v": graph.v, "seed": graph.seed, "lengths": list(graph.lengths)},
         "lambda_max": args.lambda_max,
     }
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
 
 
-def _cmd_orbits_q(args, argv) -> int:
+def _cmd_orbits_q(args):
     n = _parse_int_list(args.n, "--n")
     m = _parse_int_list(args.m, "--m")
     if len(n) != len(m):
@@ -236,8 +243,7 @@ def _cmd_orbits_q(args, argv) -> int:
     return 0 if verdict == "OK" else 1
 
 
-def _cmd_trace_check(args, argv) -> int:
-    started = time.time()
+def _cmd_trace_check(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
     if args.sigma <= 0:
@@ -259,7 +265,7 @@ def _cmd_trace_check(args, argv) -> int:
         for lam, od, sd in zip(grid, orbit.values, exact.values)
     ]
     _write_csv(args.out, ("lambda", "orbit_density", "spectral_density"), rows)
-    echo = {
+    return {
         "v": args.v,
         "seed": args.seed,
         "kmax": args.kmax,
@@ -268,145 +274,62 @@ def _cmd_trace_check(args, argv) -> int:
         "lambda_max": args.lambda_max,
         "step": args.step,
     }
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
 
 
-def _cmd_analytic_f(args, argv) -> int:
-    started = time.time()
-    trunc = _truncation_from(args)
-    if not 0 < args.tau_max <= 1.0:
-        raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
-    if not 0 < args.step <= args.tau_max:
-        raise UsageError("--step must lie in (0, tau-max]")
-    taus = [i * args.step for i in range(int(np.floor(args.tau_max / args.step + 1e-9)) + 1)]
-    rows = []
-    for tau in taus:
-        for tau_p in taus:
-            parts = (
-                f1(tau, tau_p),
-                f2(tau, tau_p, trunc),
-                f3(tau, tau_p, trunc),
-                f4(tau, tau_p, trunc),
-            )
-            rows.append(
-                (
-                    _fmt(tau),
-                    _fmt(tau_p),
-                    *(_fmt(p) for p in parts),
-                    _fmt(sum(parts)),
-                    _fmt(f_expansion(tau, tau_p)),
-                )
-            )
+def _cmd_analytic_f(args):
+    echo, rows = _kernel_table(args)
     header = ("tau", "tau_p", "F1", "F2", "F3", "F4", "F", "expansion")
-    _write_csv(args.out, header, rows)
-    echo = {
-        "truncation": asdict(trunc),
-        "tau_max": args.tau_max,
-        "step": args.step,
-    }
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
+    _write_csv(args.out, header, [tuple(map(_fmt, row)) for row in rows])
+    return echo
 
 
-def _cmd_analytic_k(args, argv) -> int:
+def _cmd_analytic_k(args):
     print(_fmt(k_formfactor(args.tau, _truncation_from(args))))
     return 0
 
 
-def _cmd_analytic_r2(args, argv) -> int:
+def _cmd_analytic_r2(args):
     print(_fmt(r2_analytic(args.x, _truncation_from(args))))
     return 0
 
 
-def _cmd_analytic_r3(args, argv) -> int:
+def _cmd_analytic_r3(args):
     print(_fmt(r3_full(args.x, args.y, _truncation_from(args))))
     return 0
 
 
-def _cmd_expansion_table(args, argv) -> int:
-    started = time.time()
-    trunc = _truncation_from(args)
-    if not 0 < args.tau_max <= 1.0:
-        raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
-    if not 0 < args.step <= args.tau_max:
-        raise UsageError("--step must lie in (0, tau-max]")
-    taus = [i * args.step for i in range(int(np.floor(args.tau_max / args.step + 1e-9)) + 1)]
+def _cmd_expansion_table(args):
+    echo, rows = _kernel_table(args)
     header = ("tau", "tau_p", "f_total", "f_expansion")
-    rows = [
-        (
-            _fmt(tau),
-            _fmt(tau_p),
-            _fmt(f_total(tau, tau_p, trunc)),
-            _fmt(f_expansion(tau, tau_p)),
-        )
-        for tau in taus
-        for tau_p in taus
-    ]
+    rows = [tuple(_fmt(row[c]) for c in (0, 1, 6, 7)) for row in rows]
     if args.out is None:
         print("\n".join([",".join(header)] + [",".join(r) for r in rows]))
         return 0
     _write_csv(args.out, header, rows)
-    echo = {
-        "truncation": asdict(trunc),
-        "tau_max": args.tau_max,
-        "step": args.step,
-    }
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
+    return echo
 
 
-def _cmd_empirical_r2(args, argv) -> int:
-    started = time.time()
-    grid = _parse_range(args.x_grid)
-    config = _ensemble_from(args, tuple(grid))
-    estimate = estimate_r2(config, threads=args.threads)
-    rows = [
-        (_fmt(x), _fmt(val), _fmt(err), str(int(count)))
-        for x, val, err, count in zip(
-            estimate.grid, estimate.values, estimate.stderr, estimate.pairs
-        )
-    ]
-    _write_csv(args.out, ("x", "estimate", "stderr", "pairs"), rows)
-    echo = {"estimator": "r2", "ensemble": asdict(config)}
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
-
-
-def _cmd_empirical_r3(args, argv) -> int:
-    started = time.time()
+def _cmd_empirical(args):
     xs = _parse_range(args.x_grid)
-    ys = _parse_range(args.y_grid)
-    grid = tuple((x, y) for x in xs for y in ys)
+    if args.empirical_command == "r2":
+        coords, estimate_fn = ("x",), estimate_r2
+        grid = tuple(xs)
+    else:
+        coords, estimate_fn = ("x", "y"), estimate_r3
+        grid = tuple((x, y) for x in xs for y in _parse_range(args.y_grid))
     config = _ensemble_from(args, grid)
-    estimate = estimate_r3(config, threads=args.threads)
+    estimate = estimate_fn(config, threads=args.threads)
     rows = [
-        (_fmt(x), _fmt(y), _fmt(val), _fmt(err), str(int(count)))
-        for (x, y), val, err, count in zip(
+        (*(_fmt(c) for c in np.atleast_1d(point)), _fmt(val), _fmt(err), str(int(count)))
+        for point, val, err, count in zip(
             estimate.grid, estimate.values, estimate.stderr, estimate.pairs
         )
     ]
-    _write_csv(args.out, ("x", "y", "estimate", "stderr", "pairs"), rows)
-    echo = {"estimator": "r3", "ensemble": asdict(config)}
-    _write_manifest(argv, echo, [args.out], started)
-    return 0
+    _write_csv(args.out, (*coords, "estimate", "stderr", "pairs"), rows)
+    return {"estimator": args.empirical_command, "ensemble": asdict(config)}
 
 
-def _converged_kernel(trunc: Truncation):
-    """Vectorized form factor at the compare-grade K truncation."""
-    k_trunc = Truncation(
-        j_max=max(_K_CONVERGED["j_max"], trunc.j_max),
-        m_max=max(_K_CONVERGED["m_max"], trunc.m_max),
-        quad_points=trunc.quad_points,
-        tau_cutoff=trunc.tau_cutoff,
-    )
-    return k_trunc, lambda taus: np.array(
-        [k_formfactor(float(t), k_trunc) for t in np.atleast_1d(taus)]
-    )
-
-
-def _cmd_compare(args, argv) -> int:
-    started = time.time()
+def _cmd_compare(args):
     trunc = _truncation_from(args)
     input_path = Path(args.input)
     if not input_path.exists():
@@ -428,22 +351,27 @@ def _cmd_compare(args, argv) -> int:
         if target.resolve() in protected:
             raise ValidationFailure(f"refusing to overwrite input file {target}")
     rows_in = _read_csv_rows(input_path, estimator)
-    k_trunc, kernel = _converged_kernel(trunc)
+    k_trunc = replace(
+        trunc,
+        j_max=max(_K_CONVERGED["j_max"], trunc.j_max),
+        m_max=max(_K_CONVERGED["m_max"], trunc.m_max),
+    )
+    kernel = partial(k_formfactor, trunc=k_trunc)
+    if estimator == "r2":
+        xs = [point[0] for point, _, _ in rows_in]
+        analytic = r2_analytic(xs, trunc, kernel=kernel).tolist()
+    else:
+        analytic = [r3_full(x, y, trunc, kernel=kernel) for (x, y), _, _ in rows_in]
     rows = []
-    for point, estimate, stderr in rows_in:
-        if estimator == "r2":
-            analytic = r2_analytic(point[0], trunc, kernel=kernel)
-        else:
-            analytic = r3_full(point[0], point[1], trunc, kernel=kernel)
-        deviation = abs(estimate - analytic)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigmas = deviation / stderr if stderr > 0 else float("inf")
+    for (point, estimate, stderr), value in zip(rows_in, analytic):
+        deviation = abs(estimate - value)
+        sigmas = deviation / stderr if stderr > 0 else float("inf")
         rows.append(
             (
                 *(_fmt(c) for c in point),
                 _fmt(estimate),
                 _fmt(stderr),
-                _fmt(analytic),
+                _fmt(value),
                 _fmt(deviation),
                 _fmt(sigmas),
             )
@@ -451,15 +379,13 @@ def _cmd_compare(args, argv) -> int:
     coords = ("x",) if estimator == "r2" else ("x", "y")
     header = (*coords, "estimate", "stderr", "analytic", "abs_deviation", "sigma_deviation")
     _write_csv(out_path, header, rows)
-    echo = {
+    return {
         "estimator": estimator,
         "ensemble": ensemble,
         "truncation": asdict(trunc),
         "k_truncation": asdict(k_trunc),
         "input": str(input_path),
     }
-    _write_manifest(argv, echo, [out_path], started)
-    return 0
 
 
 def _read_csv_rows(path: Path, estimator: str):
@@ -593,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
             e.add_argument("--y-grid", default="0:3:0.25", help="lo:hi:step")
         e.add_argument("--threads", type=int, default=None)
         e.add_argument("--out", default=f"{name}.csv")
-        e.set_defaults(handler=_cmd_empirical_r2 if name == "r2" else _cmd_empirical_r3)
+        e.set_defaults(handler=_cmd_empirical)
 
     p = sub.add_parser(
         "compare",
@@ -614,8 +540,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    started = time.time()
     try:
-        return args.handler(args, argv)
+        result = args.handler(args)
+        if isinstance(result, dict):
+            _write_manifest(argv, result, args.out, started)
+            return 0
+        return result
     except UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"star-spectra: usage error: {exc}", file=sys.stderr)

@@ -259,8 +259,21 @@ def _warn_sparse(counts: np.ndarray, grid, what: str) -> None:
                 f"only {int(n)} {what} contribute at grid point {point}; "
                 "the estimate there may be noisy",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
+
+
+def _from_levels(level_sets, grid: list, kernel_width: float, estimate_one, what: str):
+    """Run the per-realization `estimate_one` over level_sets and aggregate."""
+    per = []
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for levels, window in level_sets:
+        values, n = estimate_one(np.asarray(levels, dtype=float), float(window), grid, kernel_width)
+        per.append(values)
+        counts += n
+    values, stderr = _aggregate(per)
+    _warn_sparse(counts, grid, what)
+    return values, stderr, counts
 
 
 def r2_from_levels(level_sets, grid, kernel_width: float):
@@ -271,15 +284,7 @@ def r2_from_levels(level_sets, grid, kernel_width: float):
     (values, stderr, pairs) arrays over the grid of signed distances.
     """
     grid = [float(x) for x in grid]
-    per = []
-    pairs = np.zeros(len(grid), dtype=np.int64)
-    for levels, window in level_sets:
-        values, counts = _r2_one(np.asarray(levels, dtype=float), float(window), grid, kernel_width)
-        per.append(values)
-        pairs += counts
-    values, stderr = _aggregate(per)
-    _warn_sparse(pairs, grid, "level pairs")
-    return values, stderr, pairs
+    return _from_levels(level_sets, grid, kernel_width, _r2_one, "level pairs")
 
 
 def r3_from_levels(level_sets, grid, kernel_width: float):
@@ -290,15 +295,7 @@ def r3_from_levels(level_sets, grid, kernel_width: float):
     triples) arrays over the grid.
     """
     grid = [(float(x), float(y)) for x, y in grid]
-    per = []
-    triples = np.zeros(len(grid), dtype=np.int64)
-    for levels, window in level_sets:
-        values, counts = _r3_one(np.asarray(levels, dtype=float), float(window), grid, kernel_width)
-        per.append(values)
-        triples += counts
-    values, stderr = _aggregate(per)
-    _warn_sparse(triples, grid, "gap combinations")
-    return values, stderr, triples
+    return _from_levels(level_sets, grid, kernel_width, _r3_one, "gap combinations")
 
 
 # ------------------------------------------------------- ensemble plumbing --
@@ -353,26 +350,25 @@ def _ensemble_levels(config: EnsembleConfig, threads=None) -> list:
     return out
 
 
-def _require_scalar_grid(grid) -> list:
-    points = []
-    for point in grid:
-        if np.ndim(point) != 0:
-            raise ValueError("the two-point grid must list scalar distances x")
-        points.append(float(point))
-    if not points:
+def _require_grid(grid, shape: tuple, message: str) -> list:
+    """config.grid as floats (shape ()) or float tuples (shape (2,))."""
+    if any(np.shape(point) != shape for point in grid):
+        raise ValueError(message)
+    if not grid:
         raise ValueError("config.grid must list at least one evaluation point")
-    return points
+    return [tuple(map(float, point)) if shape else float(point) for point in grid]
 
 
-def _require_pair_grid(grid) -> list:
-    points = []
-    for point in grid:
-        if np.ndim(point) == 0 or len(point) != 2:
-            raise ValueError("the three-point grid must list (x, y) pairs")
-        points.append((float(point[0]), float(point[1])))
-    if not points:
-        raise ValueError("config.grid must list at least one evaluation point")
-    return points
+def _estimate(config: EnsembleConfig, threads, grid: list, from_levels) -> CorrelationEstimate:
+    level_sets = _ensemble_levels(config, threads)
+    values, stderr, counts = from_levels(level_sets, grid, config.kernel_width)
+    return CorrelationEstimate(
+        grid=tuple(grid),
+        values=tuple(float(v) for v in values),
+        stderr=tuple(float(s) for s in stderr),
+        pairs=tuple(int(n) for n in counts),
+        config=config,
+    )
 
 
 def estimate_r2(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
@@ -382,16 +378,10 @@ def estimate_r2(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     signed distance near x, kernel-smoothed with the configured width and
     normalized so Poisson input gives 1.
     """
-    grid = _require_scalar_grid(config.grid)
-    level_sets = _ensemble_levels(config, threads)
-    values, stderr, pairs = r2_from_levels(level_sets, grid, config.kernel_width)
-    return CorrelationEstimate(
-        grid=tuple(grid),
-        values=tuple(float(v) for v in values),
-        stderr=tuple(float(s) for s in stderr),
-        pairs=tuple(int(n) for n in pairs),
-        config=config,
-    )
+    grid = _require_grid(config.grid, (), "the two-point grid must list scalar distances x")
+    # r2_from_levels is looked up at call time, so wrappers installed on the
+    # module (such as tracing spans) see the call
+    return _estimate(config, threads, grid, r2_from_levels)
 
 
 def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
@@ -402,13 +392,5 @@ def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     Poisson input gives 1, and symmetrized over the six relabelings of the
     triple.
     """
-    grid = _require_pair_grid(config.grid)
-    level_sets = _ensemble_levels(config, threads)
-    values, stderr, triples = r3_from_levels(level_sets, grid, config.kernel_width)
-    return CorrelationEstimate(
-        grid=tuple(grid),
-        values=tuple(float(v) for v in values),
-        stderr=tuple(float(s) for s in stderr),
-        pairs=tuple(int(n) for n in triples),
-        config=config,
-    )
+    grid = _require_grid(config.grid, (2,), "the three-point grid must list (x, y) pairs")
+    return _estimate(config, threads, grid, r3_from_levels)

@@ -83,24 +83,30 @@ def _directed_lengths(graph: StarGraph) -> np.ndarray:
     return np.concatenate([l, l])
 
 
-def secular_det(graph: StarGraph, lam: float) -> complex:
-    """det(I - exp(-i*lam*Lhat) S) over directed edges; zero at eigenvalues."""
+def _evolution_chunks(graph: StarGraph, lams: np.ndarray):
+    """U(lam) = exp(-i*lam*Lhat) S stacked over lams, in chunks of ~2e6 entries.
+
+    Yields (start, U) with U[k] the directed-edge evolution at lams[start + k].
+    """
     m = _bond_matrix(graph.v)
-    phase = np.exp(-1j * lam * _directed_lengths(graph))
-    return complex(np.linalg.det(np.eye(2 * graph.v) - phase[:, None] * m))
+    ld = _directed_lengths(graph)
+    step = max(1, 2_000_000 // (4 * graph.v * graph.v))
+    for start in range(0, len(lams), step):
+        phase = np.exp(-1j * np.multiply.outer(lams[start : start + step], ld))
+        yield start, phase[:, :, None] * m
 
 
 def _secular_det_batch(graph: StarGraph, lams: np.ndarray) -> np.ndarray:
-    m = _bond_matrix(graph.v)
-    ld = _directed_lengths(graph)
     out = np.empty(len(lams), dtype=complex)
     eye = np.eye(2 * graph.v)
-    step = max(1, 2_000_000 // (4 * graph.v * graph.v))
-    for start in range(0, len(lams), step):
-        chunk = lams[start : start + step]
-        phase = np.exp(-1j * np.multiply.outer(chunk, ld))
-        out[start : start + len(chunk)] = np.linalg.det(eye - phase[:, :, None] * m)
+    for start, u in _evolution_chunks(graph, lams):
+        out[start : start + len(u)] = np.linalg.det(eye - u)
     return out
+
+
+def secular_det(graph: StarGraph, lam: float) -> complex:
+    """det(I - exp(-i*lam*Lhat) S) over directed edges; zero at eigenvalues."""
+    return complex(_secular_det_batch(graph, np.array([float(lam)]))[0])
 
 
 def secular_real(graph: StarGraph, lams) -> np.ndarray:
@@ -233,14 +239,6 @@ def polish_roots_det(graph: StarGraph, roots: np.ndarray, steps: int = 5) -> np.
     return lam
 
 
-def _eigenphases(graph: StarGraph, lam: float) -> np.ndarray:
-    """Principal eigenphases in [0, 2*pi) of U(lam) = exp(-i*lam*Lhat) S."""
-    m = _bond_matrix(graph.v)
-    phase = np.exp(-1j * lam * _directed_lengths(graph))
-    mu = np.linalg.eigvals(phase[:, None] * m)
-    return np.mod(np.angle(mu), 2.0 * np.pi)
-
-
 def det_root_count(graph: StarGraph, lambda_max: float) -> int:
     """Count determinant-side roots in (0, lambda_max] by unitary winding.
 
@@ -264,15 +262,15 @@ def det_root_count(graph: StarGraph, lambda_max: float) -> int:
     # each phase moves by at most step * l_max per step; stay well under 2*pi
     step = 0.5 * np.pi / float(graph.lengths_array().max())
     lams = np.linspace(0.0, lambda_max, int(np.ceil(lambda_max / step)) + 1)
-    start = _eigenphases(graph, 0.0)
-    # lam = 0 is always a determinant root but is excluded from the spectrum,
-    # so the phase sitting at zero starts a full turn before its next crossing
-    start[start < 1e-9] += two_pi
-    total = 0
-    prev_sum = float(start.sum())
-    for prev_lam, lam in zip(lams[:-1], lams[1:]):
-        cur_sum = float(_eigenphases(graph, float(lam)).sum())
-        wraps = ((lam - prev_lam) * graph.total_length + cur_sum - prev_sum) / two_pi
-        total += int(round(wraps))
-        prev_sum = cur_sum
-    return total
+    sums = np.empty(len(lams))
+    for start, u in _evolution_chunks(graph, lams):
+        # principal eigenphases in [0, 2*pi)
+        phases = np.mod(np.angle(np.linalg.eigvals(u)), two_pi)
+        if start == 0:
+            # lam = 0 is always a determinant root but is excluded from the
+            # spectrum, so the phase sitting at zero starts a full turn before
+            # its next crossing
+            phases[0, phases[0] < 1e-9] += two_pi
+        sums[start : start + len(u)] = phases.sum(axis=1)
+    wraps = (np.diff(lams) * graph.total_length + sums[1:] - sums[:-1]) / two_pi
+    return int(np.round(wraps).sum())

@@ -34,15 +34,20 @@ class SmoothedDensity:
     max_period: int  # 2*k_max; 0 when built from an exact spectrum
 
 
+def _row_chunks(rows: int, grid: np.ndarray):
+    """Slices over `rows` that keep each (rows x grid) temporary near 4e6 cells."""
+    step = max(1, 4_000_000 // max(len(grid), 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def density_from_spectrum(spectrum: Spectrum, grid, sigma: float) -> SmoothedDensity:
     """Sum of unit-mass Gaussians of width sigma centered at the eigenvalues."""
     grid = np.asarray(grid, dtype=float)
     values = np.zeros_like(grid)
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     eigs = spectrum.eigenvalues
-    step = max(1, 4_000_000 // max(len(grid), 1))
-    for start in range(0, len(eigs), step):
-        chunk = eigs[start : start + step]
+    for rows in _row_chunks(len(eigs), grid):
+        chunk = eigs[rows]
         values += norm * np.exp(
             -((grid[None, :] - chunk[:, None]) ** 2) / (2.0 * sigma * sigma)
         ).sum(axis=0)
@@ -81,8 +86,9 @@ def density_from_orbits(
             lp = 2.0 * float(l[list(word)].sum())
             lengths[idx] = lp
             coefs[idx] = (lp / r) * amplitude(word, graph.v)
-        damp = np.exp(-0.5 * (sigma * lengths) ** 2)
-        values += (coefs * damp) @ np.cos(np.multiply.outer(lengths, grid)) / np.pi
+        weights = coefs * np.exp(-0.5 * (sigma * lengths) ** 2)
+        for rows in _row_chunks(len(words), grid):
+            values += weights[rows] @ np.cos(np.multiply.outer(lengths[rows], grid)) / np.pi
     return SmoothedDensity(
         grid=grid, values=values, sigma=float(sigma), max_period=2 * k_max
     )

@@ -19,6 +19,7 @@ from star_spectra import (
     f3_coefficients,
     f4,
     f4_coefficients,
+    f_components,
     f_expansion,
     f_total,
     k_formfactor,
@@ -26,7 +27,7 @@ from star_spectra import (
     r3_connected,
     r3_full,
 )
-from star_spectra.analytic import _f3_block_matrix, _f4_block_matrix
+from star_spectra.analytic import _f3_block_matrix, _f4_block_matrix, _gl_panels
 
 # blocks of the two-variable series start at j = 3, so this cutoff keeps
 # exactly the first block -- handy for pinning single-block values
@@ -93,6 +94,18 @@ def test_truncation_validation():
     assert DEFAULT_TRUNCATION.degree_cap == 16
 
 
+def test_quad_points_are_never_rounded():
+    # above 16 the composite rule is built from panels of 16, so only
+    # multiples of 16 give a rule (and a 2n-point refinement) of the size asked
+    for bad in (28, 50):
+        with pytest.raises(ValueError):
+            Truncation(quad_points=bad)
+    for good in (2, 16, 32, 64, 128):
+        Truncation(quad_points=good)
+        assert len(_gl_panels(good, 0.0, 1.0)[0]) == good
+        assert len(_gl_panels(2 * good, 0.0, 1.0)[0]) == 2 * good
+
+
 def test_form_factor_endpoint_exact():
     assert k_formfactor(0.0) == 1.0
 
@@ -127,6 +140,20 @@ def test_form_factor_domain_limits():
         k_formfactor(0.51)
     with pytest.raises(ValueError):
         k_formfactor(-0.1)
+
+
+def test_form_factor_and_r2_broadcast_bitwise():
+    rng = np.random.default_rng(5)
+    taus = rng.uniform(0.0, 0.5, 40)
+    assert np.array_equal(k_formfactor(taus), [k_formfactor(float(t)) for t in taus])
+    xs = rng.uniform(-3.0, 3.0, (4, 5))
+    want = [[r2_analytic(float(x)) for x in row] for row in xs]
+    assert np.array_equal(r2_analytic(xs), want)
+    assert isinstance(k_formfactor(0.1), float)
+    assert isinstance(r2_analytic(0.1), float)
+    for bad in (0.51, -0.1):
+        with pytest.raises(ValueError):
+            k_formfactor(np.array([0.0, 0.2, bad, 0.3]))
 
 
 # ------------------------------------------------- two-point correlation --
@@ -287,6 +314,26 @@ def test_components_sum_to_total():
             + f4(tau, tau_p)
         )
         assert f_total(tau, tau_p) == pytest.approx(parts, rel=1e-14)
+
+
+def test_kernel_grids_match_scalar_views():
+    taus = np.linspace(0.0, 1.0, 6)
+    grids = f_components(taus, SMALL)
+    views = (
+        f1,
+        lambda a, b: f2(a, b, SMALL),
+        lambda a, b: f3(a, b, SMALL),
+        lambda a, b: f4(a, b, SMALL),
+    )
+    want = [np.array([[fn(a, b) for b in taus] for a in taus]) for fn in views]
+    assert np.array_equal(grids[0], want[0])
+    assert np.array_equal(grids[1], want[1])
+    assert np.abs(grids[2] - want[2]).max() <= 1e-9
+    assert np.array_equal(grids[2], grids[2].T)
+    assert np.array_equal(grids[3], want[3])
+    for bad in ([0.5, 0.2], [0.0, 1.2], [-0.1, 0.3]):
+        with pytest.raises(ValueError):
+            f_components(bad, SMALL)
 
 
 def test_expansion_polynomial_definition():

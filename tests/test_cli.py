@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from star_spectra import build_graph, solve_spectrum
+from star_spectra import Truncation, build_graph, f_components, solve_spectrum
 from star_spectra.cli import main
 
 TINY = ("--j-max", "2", "--m-max", "4")  # keeps the block series empty
@@ -204,6 +204,22 @@ def test_analytic_f_grid_csv(tmp_path):
     assert manifest["config"]["truncation"]["j_max"] == 2
 
 
+def test_analytic_f_csv_cells_are_the_kernel_grids(tmp_path):
+    # j_max = 3 keeps the first F3/F4 block, so the block series is non-empty
+    out = tmp_path / "f.csv"
+    args = ["--tau-max", "0.5", "--step", "0.25", "--j-max", "3", "--m-max", "8"]
+    assert main(["analytic", "f", *args, "--out", str(out)]) == 0
+    cells = np.array(
+        [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    )
+    taus = np.array([0.0, 0.25, 0.5])
+    parts = f_components(taus, Truncation(j_max=3, m_max=8))
+    for column, part in enumerate(parts, start=2):
+        assert np.array_equal(cells[:, column], part.ravel())
+    assert np.array_equal(cells[:, 6], sum(parts).ravel())
+    assert np.any(cells[:, 4] != 0.0) and np.any(cells[:, 5] != 0.0)
+
+
 def test_analytic_r3_prints_value(capsys):
     assert main(["analytic", "r3", "--x", "0.5", "--y", "1.0", *TINY]) == 0
     float(capsys.readouterr().out.strip())
@@ -357,6 +373,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         )
         == 2
     )
+    capsys.readouterr()
+
+
+def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
+    assert main(["analytic", "k", "--tau", "0.1", "--quad", "50"]) == 2
+    ensemble = ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30"]
+    out = ["--out", str(tmp_path / "r.csv")]
+    assert main([*ensemble, "--threads", "0", *out]) == 2
+    assert main([*ensemble, "--kernel-width", "0", *out]) == 2
+    assert main(["empirical", "r3", "--v", "0", "--realizations", "1", "--lambda-max", "30", *out]) == 2
+    assert not (tmp_path / "r.csv").exists()
     capsys.readouterr()
 
 

@@ -86,6 +86,16 @@ def test_root_counts_agree_between_forms():
         assert det_root_count(graph, 60.0) == len(spectrum)
 
 
+def test_winding_count_across_evolution_chunks():
+    # at v = 100 the winding stacks 50 steps per chunk; a cut near lambda = 100
+    # takes 65 steps, so the count runs across a chunk boundary
+    graph = build_graph(100, seed=3)
+    eigs = solve_spectrum(graph, 101.0).eigenvalues
+    i = int(np.searchsorted(eigs, 100.0))
+    cut = 0.5 * (eigs[i - 1] + eigs[i])
+    assert det_root_count(graph, cut) == i
+
+
 def test_determinant_side_flips_sign_across_roots():
     graph = build_graph(3, seed=9)
     spectrum = solve_spectrum(graph, 30.0)
