@@ -3,8 +3,10 @@
 Two independent secular functions are kept side by side:
 
 * ``secular_tan`` -- the O(v) scalar form  sum_i tan(lambda * l_i), whose
-  roots between consecutive poles are the eigenvalues.  This drives the
-  production solver.
+  roots between consecutive poles are the eigenvalues.  Its value and slope
+  sum_i l_i/cos^2(lambda * l_i) come from one tan per edge, and drive the
+  production solver ``solve_spectrum``: a bracket-safeguarded Newton
+  iteration, vectorized over all inter-pole intervals.
 * ``secular_det`` -- the determinant  det(I - exp(-i*lambda*Lhat) S)  over the
   2v directed edges.  It is O(v^3) per evaluation and is retained purely as a
   cross-check oracle: every root found by the tan form must annihilate the
@@ -30,6 +32,7 @@ from .graph import StarGraph
 
 __all__ = [
     "PoleProximity",
+    "SolverNotConverged",
     "Spectrum",
     "secular_det",
     "secular_tan",
@@ -43,6 +46,13 @@ __all__ = [
 
 class PoleProximity(ValueError):
     """Raised when secular_tan is evaluated too close to a tangent pole."""
+
+
+class SolverNotConverged(RuntimeError):
+    """Raised when solve_spectrum's Newton iteration leaves a root unresolved."""
+
+
+_MAX_NEWTON_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,20 @@ def secular_real(graph: StarGraph, lams) -> np.ndarray:
     return np.imag(dets * np.exp(1j * lams * graph.total_length / 2.0))
 
 
+def _tan_sum(x: np.ndarray, l: np.ndarray, out: np.ndarray | None = None):
+    """Value sum_i tan(x*l_i) and slope sum_i l_i/cos^2(x*l_i) for each x.
+
+    One tan per element: the slope is (1 + tan^2) @ l.  ``out``, if given, is
+    a (len(x), len(l)) work buffer that is overwritten.
+    """
+    t = np.multiply.outer(x, l, out=out)
+    np.tan(t, out=t)
+    value = t.sum(axis=1)
+    np.square(t, out=t)
+    t += 1.0
+    return value, t @ l
+
+
 def secular_tan(graph: StarGraph, lam: float, pole_tol: float = 1e-8) -> float:
     """sum_i tan(lam * l_i); raises PoleProximity within pole_tol of any pole."""
     l = graph.lengths_array()
@@ -129,7 +153,7 @@ def secular_tan(graph: StarGraph, lam: float, pole_tol: float = 1e-8) -> float:
     dist = np.abs(frac - np.round(frac)) * np.pi / l
     if np.any(dist < pole_tol):
         raise PoleProximity(f"lambda={lam} is within {pole_tol} of a tangent pole")
-    return float(np.sum(np.tan(lam * l)))
+    return float(_tan_sum(np.array([lam], dtype=float), l)[0][0])
 
 
 def _pole_grid(graph: StarGraph, lambda_max: float) -> np.ndarray:
@@ -150,9 +174,16 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     sum_i tan(lam*l_i) is strictly increasing between consecutive poles
     (derivative sum l_i/cos^2 > 0) and runs from -inf to +inf, so each
     interval holds exactly one root; the interval (0, first pole) holds none.
-    Bisection runs vectorized over all intervals at once, followed by a few
-    Newton steps.  lambda=0 and roots indistinguishable from a pole are
-    excluded.
+    Each interval is first shrunk from its poles to a bracket [lo, hi] with
+    f(lo) < 0 < f(hi).  Newton's method then runs from the bracket midpoint,
+    vectorized over the intervals not yet converged, with the safeguard of
+    Numerical Recipes' rtsafe: each evaluation narrows the bracket by the sign
+    of f, and a step that leaves the bracket or is more than half the step
+    before last is replaced by bisection.  An interval stops once its Newton
+    step is at most 2*eps*lambda; at v=100 that takes about 5 evaluations on
+    average.  lambda=0 and roots indistinguishable from a pole are excluded.
+    Raises SolverNotConverged if an interval is still open after 100
+    iterations.
     """
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
@@ -167,27 +198,32 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     if not np.all(ok):
         a, b, width = a[ok], b[ok], width[ok]
 
+    # the only N x v array of the solve; every evaluation writes its first rows
+    work = np.empty((len(a), len(l)))
+
     def f(x):
-        return np.tan(np.multiply.outer(x, l)).sum(axis=1)
+        return _tan_sum(x, l, work[: len(x)])
 
     # Shrink offsets from each pole until the secular function shows the
     # correct sign (-) at the left and (+) at the right endpoint; a root very
-    # close to a pole otherwise masquerades as a sign error.
-    delta_a = width * 0.25
-    delta_b = width * 0.25
-    for _ in range(12):
-        bad = f(a + delta_a) > 0
-        if not bad.any():
-            break
-        delta_a[bad] /= 16.0
-    for _ in range(12):
-        bad = f(b - delta_b) < 0
-        if not bad.any():
-            break
-        delta_b[bad] /= 16.0
-    lo = a + delta_a
-    hi = b - delta_b
-    failed = (f(lo) > 0) | (f(hi) < 0)
+    # close to a pole otherwise masquerades as a sign error.  Only the
+    # intervals still showing the wrong sign are evaluated again.
+    def shrink(pole, sign):
+        delta = width * 0.25
+        x = pole + sign * delta
+        fx = f(x)[0]
+        for _ in range(12):
+            bad = np.flatnonzero(sign * fx > 0)
+            if not bad.size:
+                break
+            delta[bad] /= 16.0
+            x[bad] = pole[bad] + sign * delta[bad]
+            fx[bad] = f(x[bad])[0]
+        return x, sign * fx > 0
+
+    lo, lo_wrong = shrink(a, 1.0)
+    hi, hi_wrong = shrink(b, -1.0)
+    failed = lo_wrong | hi_wrong
     if failed.any():
         warnings.warn(
             f"{int(failed.sum())} inter-pole intervals kept a root closer than "
@@ -196,20 +232,36 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
         )
         lo, hi = lo[~failed], hi[~failed]
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    roots = 0.5 * (lo + hi)
-
-    # Newton polish; derivative sum_i l_i / cos^2(lam l_i) is available in
-    # closed form and the bisection output is already inside the basin.
-    for _ in range(3):
-        arg = np.multiply.outer(roots, l)
-        val = np.tan(arg).sum(axis=1)
-        slope = (l / np.cos(arg) ** 2).sum(axis=1)
-        roots = roots - val / slope
+    roots = np.empty(len(lo))
+    open_ = np.arange(len(lo))
+    x = 0.5 * (lo + hi)
+    dx = dx_old = hi - lo
+    for _ in range(_MAX_NEWTON_ITERATIONS):
+        if not open_.size:
+            break
+        val, slope = f(x)
+        step = val / slope
+        # the stop test comes before the bracket test: a sub-ulp step can land
+        # on the bracket edge and would otherwise force a bisection
+        done = np.abs(step) <= 2.0 * np.finfo(float).eps * np.abs(x)
+        roots[open_[done]] = x[done] - step[done]
+        go = ~done
+        open_, x, lo, hi, val, step, dx, dx_old = (
+            arr[go] for arr in (open_, x, lo, hi, val, step, dx, dx_old)
+        )
+        lo = np.where(val < 0, x, lo)
+        hi = np.where(val < 0, hi, x)
+        newton = x - step
+        bisect = (newton <= lo) | (newton >= hi) | (np.abs(2.0 * step) > np.abs(dx_old))
+        half = 0.5 * (hi - lo)
+        dx_old = dx
+        dx = np.where(bisect, half, step)
+        x = np.where(bisect, lo + half, newton)
+    if open_.size:
+        raise SolverNotConverged(
+            f"{open_.size} roots still bracketed after {_MAX_NEWTON_ITERATIONS} "
+            f"Newton iterations, first near lambda={float(x[0])}"
+        )
 
     in_range = (roots > 1e-12) & (roots <= lambda_max)
     roots = roots[in_range]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from star_spectra import (
     PoleProximity,
@@ -15,6 +17,7 @@ from star_spectra import (
     secular_tan,
     solve_spectrum,
 )
+from star_spectra.spectrum import SolverNotConverged, _tan_sum
 
 
 def test_single_edge_unit_length_spectrum_is_pi_grid():
@@ -62,6 +65,16 @@ def test_tan_form_increases_between_poles():
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
+def test_tan_sum_value_and_slope_match_direct_forms():
+    graph = build_graph(7, seed=2)
+    l = graph.lengths_array()
+    x = np.linspace(0.3, 40.0, 997)
+    value, slope = _tan_sum(x, l)
+    arg = np.multiply.outer(x, l)
+    assert np.array_equal(value, np.tan(arg).sum(axis=1))
+    assert np.allclose(slope, (l / np.cos(arg) ** 2).sum(axis=1), rtol=1e-12, atol=0)
+
+
 def test_tan_form_rejects_pole_neighborhood():
     graph = build_graph(2, seed=4)
     pole = 0.5 * np.pi / graph.lengths[0]
@@ -96,6 +109,42 @@ def test_winding_count_across_evolution_chunks():
     assert det_root_count(graph, cut) == i
 
 
+def test_det_polish_leaves_cross_validated_roots_in_place():
+    # criterion 07's graphs: a correct tan-form root moves by ~1e-14 under the
+    # determinant polish.  A root left at a bracket midpoint instead of its
+    # Newton iterate moves by 5e-4 on these graphs, which criterion 07 misses:
+    # its polish converges to the true root from there and the residual stays
+    # small.
+    rng = np.random.default_rng(20240816)
+    for _ in range(20):
+        v = int(rng.integers(2, 21))
+        graph = build_graph(v, int(rng.integers(0, 2**31 - 1)))
+        eigs = solve_spectrum(graph, 100.0).eigenvalues
+        assert np.abs(polish_roots_det(graph, eigs) - eigs).max() <= 1e-9
+
+
+def test_near_degenerate_lengths_count_matches_winding():
+    # four edges within 3e-9 of each other pack three roots per cluster
+    # between poles that are almost coincident
+    graph = StarGraph(v=5, lengths=(1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9, 1.3), seed=0)
+    assert len(solve_spectrum(graph, 60.0)) == det_root_count(graph, 60.0) == 101
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    v=st.integers(1, 20),
+    seed=st.integers(0, 2**31 - 1),
+    lambda_max=st.floats(1.0, 80.0, exclude_min=True),
+)
+def test_solver_agrees_with_determinant_side(v, seed, lambda_max):
+    graph = build_graph(v, seed)
+    eigs = solve_spectrum(graph, lambda_max).eigenvalues
+    assert len(eigs) == det_root_count(graph, lambda_max)
+    assert np.all(np.diff(eigs) > 0)
+    for lam in polish_roots_det(graph, eigs):
+        assert abs(secular_det(graph, float(lam))) < 1e-8
+
+
 def test_determinant_side_flips_sign_across_roots():
     graph = build_graph(3, seed=9)
     spectrum = solve_spectrum(graph, 30.0)
@@ -109,3 +158,9 @@ def test_nonpositive_cutoff_rejected():
     graph = build_graph(2, seed=0)
     with pytest.raises(ValueError):
         solve_spectrum(graph, 0.0)
+
+
+def test_unconverged_newton_iteration_raises(monkeypatch):
+    monkeypatch.setattr("star_spectra.spectrum._MAX_NEWTON_ITERATIONS", 3)
+    with pytest.raises(SolverNotConverged):
+        solve_spectrum(build_graph(5, seed=1), 50.0)
