@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial
 
 import numpy as np

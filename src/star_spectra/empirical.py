@@ -113,61 +113,34 @@ def _gauss(dev: np.ndarray, width: float) -> np.ndarray:
     return np.exp(-0.5 * (dev / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
 
 
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(c) for each c in counts."""
-    total = int(counts.sum())
-    out = np.arange(total, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    return out - np.repeat(starts, counts)
+def _kernel_sums(levels: np.ndarray, offset: float, width: float, other=None):
+    """Kernel sums (a, n) of every sorted level over partners near one offset.
 
-
-def _window_members(levels: np.ndarray, targets: np.ndarray, width: float):
-    """Index pairs (target row, level column) with |level - target| in reach."""
+    n[i] counts the partners j != i within _SUPPORT widths of level_i + offset;
+    a[i] sums the kernel at d - offset over them, d = level_j - level_i, or with
+    `other` the same-partner product gauss(d - offset) * gauss(d - other), which
+    is zero (no partners) for offsets more than two supports apart.  Each sum
+    runs over its own partners in index order, so one pass serves any references.
+    """
+    n = len(levels)
     reach = _SUPPORT * width
+    if other is not None and abs(offset - other) > 2.0 * reach:
+        return np.zeros(n), np.zeros(n, dtype=np.int64)
+    targets = levels + offset
     lo = np.searchsorted(levels, targets - reach, side="left")
     hi = np.searchsorted(levels, targets + reach, side="right")
     counts = hi - lo
-    rows = np.repeat(np.arange(len(targets), dtype=np.int64), counts)
-    cols = np.repeat(lo, counts) + _ragged_arange(counts)
-    return rows, cols
-
-
-def _offset_sums(levels: np.ndarray, ref_idx: np.ndarray, offset: float, width: float):
-    """Per-reference kernel sums over partners near the offset position.
-
-    Returns (a, n) where a[i] = sum over partners j != i of the Gaussian
-    kernel at (level_j - level_i - offset) and n[i] counts those partners.
-    """
-    targets = levels[ref_idx] + offset
-    rows, cols = _window_members(levels, targets, width)
-    keep = cols != ref_idx[rows]
+    rows = np.repeat(np.arange(n), counts)
+    # member k of the flattened windows is lo[row] plus its rank in the row
+    cols = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    keep = cols != rows
     rows, cols = rows[keep], cols[keep]
-    sums = np.zeros(len(ref_idx))
-    np.add.at(sums, rows, _gauss(levels[cols] - targets[rows], width))
-    counts = np.zeros(len(ref_idx), dtype=np.int64)
-    np.add.at(counts, rows, 1)
-    return sums, counts
-
-
-def _cross_sums(
-    levels: np.ndarray, ref_idx: np.ndarray, off_a: float, off_b: float, width: float
-) -> np.ndarray:
-    """Per-reference sums of the kernel product at two offsets.
-
-    c[i] = sum over j != i of gauss(d_j - off_a) * gauss(d_j - off_b) with
-    d_j = level_j - level_i; this is the same-partner term removed from the
-    product of single-offset sums when counting distinct triples.
-    """
-    if abs(off_a - off_b) > 2.0 * _SUPPORT * width:
-        return np.zeros(len(ref_idx))
-    base = levels[ref_idx]
-    rows, cols = _window_members(levels, base + off_a, width)
-    keep = cols != ref_idx[rows]
-    rows, cols = rows[keep], cols[keep]
-    dev = levels[cols] - base[rows]
-    sums = np.zeros(len(ref_idx))
-    np.add.at(sums, rows, _gauss(dev - off_a, width) * _gauss(dev - off_b, width))
-    return sums
+    if other is None:
+        weights = _gauss(levels[cols] - targets[rows], width)
+    else:
+        dev = levels[cols] - levels[rows]
+        weights = _gauss(dev - offset, width) * _gauss(dev - other, width)
+    return np.bincount(rows, weights, n), np.bincount(rows, minlength=n)
 
 
 def _retained(levels: np.ndarray, window: float, width: float) -> np.ndarray:
@@ -177,30 +150,31 @@ def _retained(levels: np.ndarray, window: float, width: float) -> np.ndarray:
     return levels[(levels >= margin) & (levels <= window - margin)]
 
 
-def _reference_mask(retained: np.ndarray, window: float, width: float, offsets) -> np.ndarray:
+def _reference_mask(retained: np.ndarray, window: float, width: float, offsets, point) -> np.ndarray:
     """References whose probed positions keep a full kernel window inside."""
     margin = _REF_MARGIN * width
     mask = np.ones(len(retained), dtype=bool)
     for off in offsets:
         probed = retained + off
         mask &= (probed >= margin) & (probed <= window - margin)
+    if not mask.any():
+        raise ValueError(
+            f"no usable reference levels for grid point {point}; "
+            "the spectrum window is too short for this kernel width"
+        )
     return mask
 
 
 def _r2_one(levels: np.ndarray, window: float, grid, width: float):
+    """One realization's pair estimates and counts: one kernel pass per x."""
     retained = _retained(levels, window, width)
     values = np.empty(len(grid))
     pairs = np.zeros(len(grid), dtype=np.int64)
     for g, x in enumerate(grid):
-        ref_idx = np.nonzero(_reference_mask(retained, window, width, (x,)))[0]
-        if len(ref_idx) == 0:
-            raise ValueError(
-                f"no usable reference levels for grid point {x}; "
-                "the spectrum window is too short for this kernel width"
-            )
-        sums, counts = _offset_sums(retained, ref_idx, x, width)
-        values[g] = sums.sum() / len(ref_idx)
-        pairs[g] = counts.sum()
+        mask = _reference_mask(retained, window, width, (x,), x)
+        sums, counts = _kernel_sums(retained, x, width)
+        values[g] = sums[mask].sum() / np.count_nonzero(mask)
+        pairs[g] = counts[mask].sum()
     return values, pairs
 
 
@@ -217,26 +191,33 @@ def _triple_images(x: float, y: float) -> list:
 
 
 def _r3_one(levels: np.ndarray, window: float, grid, width: float):
+    """One realization's triple estimates and counts over the grid.
+
+    A point averages its six sorted images (u, w), each the reference mean of
+    a_u * a_w minus the cross sum.  Points share offsets and x<->y partners share
+    all images, so each distinct offset and image is computed once per call.
+    """
     retained = _retained(levels, window, width)
+    sums = {}  # offset -> _kernel_sums(retained, offset, width)
+    terms = {}  # image (u, w) -> (mean kernel term, triple count)
     values = np.empty(len(grid))
     triples = np.zeros(len(grid), dtype=np.int64)
-    for g, (x, y) in enumerate(grid):
+    for g, point in enumerate(grid):
         total = 0.0
         count = 0
-        for u, w_off in _triple_images(x, y):
-            ref_idx = np.nonzero(
-                _reference_mask(retained, window, width, (u, w_off))
-            )[0]
-            if len(ref_idx) == 0:
-                raise ValueError(
-                    f"no usable reference levels for grid point ({x}, {y}); "
-                    "the spectrum window is too short for this kernel width"
-                )
-            sums_a, count_a = _offset_sums(retained, ref_idx, u, width)
-            sums_b, count_b = _offset_sums(retained, ref_idx, w_off, width)
-            cross = _cross_sums(retained, ref_idx, u, w_off, width)
-            total += float((sums_a * sums_b - cross).sum() / len(ref_idx))
-            count += int((count_a * count_b).sum())
+        for u, w in _triple_images(*point):
+            if (u, w) not in terms:
+                mask = _reference_mask(retained, window, width, (u, w), point)
+                for off in (u, w):
+                    if off not in sums:
+                        sums[off] = _kernel_sums(retained, off, width)
+                (a_u, n_u), (a_w, n_w) = sums[u], sums[w]
+                cross, _ = _kernel_sums(retained, u, width, other=w)
+                term = (a_u * a_w - cross)[mask].sum() / np.count_nonzero(mask)
+                terms[u, w] = float(term), int((n_u * n_w)[mask].sum())
+            term, n = terms[u, w]
+            total += term
+            count += n
         values[g] = total / 6.0
         triples[g] = count
     return values, triples

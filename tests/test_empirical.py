@@ -15,7 +15,7 @@ from star_spectra import (
     solve_spectrum,
     unfold,
 )
-from star_spectra.empirical import _realization_seed, worker_count
+from star_spectra.empirical import _SUPPORT, _kernel_sums, _realization_seed, worker_count
 from star_spectra.spectrum import Spectrum
 
 PEAK = 1.0 / (0.08 * np.sqrt(2.0 * np.pi))  # Gaussian kernel height at zero
@@ -56,6 +56,47 @@ def test_unfolded_mean_spacing_is_unity():
     levels = unfold(solve_spectrum(graph, 130.0))
     spacing = np.diff(levels).mean()
     assert spacing == pytest.approx(1.0, rel=0.03)
+
+
+# ----------------------------------------------------------- kernel sums --
+
+
+def _kernel_sums_by_loops(levels, offset, width, other=None):
+    """Reference _kernel_sums: a plain double loop over all level pairs."""
+    reach = _SUPPORT * width
+    sums = np.zeros(len(levels))
+    counts = np.zeros(len(levels), dtype=np.int64)
+    if other is not None and abs(offset - other) > 2.0 * reach:
+        return sums, counts
+    norm = width * np.sqrt(2.0 * np.pi)
+    for i, base in enumerate(levels):
+        for j, level in enumerate(levels):
+            dev = level - base
+            if j == i or abs(dev - offset) > reach:
+                continue
+            weight = np.exp(-0.5 * ((dev - offset) / width) ** 2) / norm
+            if other is not None:
+                weight *= np.exp(-0.5 * ((dev - other) / width) ** 2) / norm
+            sums[i] += weight
+            counts[i] += 1
+    return sums, counts
+
+
+@pytest.mark.parametrize(
+    "offset, other",
+    [(0.0, None), (0.3, None), (-0.3, None), (1.0, None), (0.3, 0.3), (-0.3, -0.3)]
+    + [(0.3, 0.3 + 2.0 * _SUPPORT * 0.08 * s) for s in (1 - 1e-9, 1 + 1e-9)]
+    + [(-0.3, -0.3 - 2.0 * _SUPPORT * 0.08 * s) for s in (1 - 1e-9, 1 + 1e-9)],
+)
+def test_kernel_sums_match_double_loop(offset, other):
+    levels = _poisson_sets(31, 1, 60.0)[0][0]
+    sums, counts = _kernel_sums(levels, offset, 0.08, other)
+    want_sums, want_counts = _kernel_sums_by_loops(levels, offset, 0.08, other)
+    assert counts.tolist() == want_counts.tolist()
+    np.testing.assert_allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+    # only offsets more than two supports apart leave every sum at zero
+    apart = other is not None and abs(offset - other) > 2.0 * _SUPPORT * 0.08
+    assert np.any(sums > 0) != apart
 
 
 # ------------------------------------------------ Poisson normalization ----
@@ -111,6 +152,23 @@ def test_r3_symmetrization_is_bit_exact():
     values, _, _ = r3_from_levels(sets, grid, 0.08)
     assert values[0] == values[1]
     assert values[0] == values[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "estimate, grid",
+    [
+        (r2_from_levels, [0.5, 0.0, -0.5, 1.0, 0.5]),
+        (r3_from_levels, [(0.7, 1.3), (1.3, 0.7), (0.9, 0.9), (0.0, 0.6), (0.6, 0.0), (0.0, 0.0)]),
+    ],
+)
+def test_grid_points_do_not_depend_on_the_rest_of_the_grid(estimate, grid):
+    sets = _poisson_sets(12, 2, 1500.0)
+    whole = estimate(sets, grid, 0.08)
+    single = [estimate(sets, [point], 0.08) for point in grid]
+    for got, want in zip(whole, map(np.concatenate, zip(*single))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------ boundary hygiene ----
