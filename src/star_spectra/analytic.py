@@ -15,10 +15,14 @@ This module evaluates, without any Monte Carlo input:
 * the quadratic small-argument expansion of F, and the assembled three-point
   correlation function R3.
 
-All combinatorial coefficients are exact `Fraction`s until the final
-multiplication by powers of tau, because the (-2)^T alternation would make
-floating-point accumulation uncontrolled.  Evaluators are pure; coefficient
-tables are cached per truncation and safe to share across threads.
+The coefficient tables behind the evaluators are built in extended precision
+(`np.longdouble`) from positive masses: every convolution adds positive
+weights, and the alternating (-2)^T sign and the factorial ratios are applied
+once per final state, so no cancellation happens inside an accumulation.  The
+exact `Fraction` routes (`c_coeff`, `f3_coefficients`, `f4_coefficients`)
+build the same coefficients independently; they are the oracles the float
+tables are tested against.  Evaluators are pure; coefficient tables are
+cached per truncation and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -91,7 +95,17 @@ DEFAULT_TRUNCATION = Truncation()
 
 
 class QuadratureError(RuntimeError):
-    """Raised when panel refinement disagrees beyond tolerance."""
+    """Raised when panel refinement disagrees beyond tolerance, or when a
+    series table would be too large to build."""
+
+
+_LONG = np.longdouble
+
+
+@lru_cache(maxsize=None)
+def _factorials(n: int) -> np.ndarray:
+    """k! for k = 0..n in extended precision, each correctly rounded."""
+    return np.array([_LONG(factorial(k)) for k in range(n + 1)])
 
 
 # ----------------------------------------------------------------- Bessel --
@@ -100,17 +114,26 @@ class QuadratureError(RuntimeError):
 def bessel_ratio(x):
     """B(x) = I_1(4*sqrt(x))/sqrt(x) = 2 * sum_k (4x)^k / (k! (k+1)!).
 
-    Entire in x, B(0) = 2.  Accepts scalars or arrays; the fixed 64-term
-    recurrence is converged to machine precision for x up to ~100, far beyond
-    the x <= (tau_cutoff)^2 arguments used here.
+    Entire in x, B(0) = 2.  Accepts scalars or arrays; the 64-term recurrence
+    is converged to machine precision for x up to ~100, far beyond the
+    x <= (tau_cutoff)^2 arguments used here.
+
+    The sum may stop early, with the bits of all 64 terms: once every z is
+    >= 0 and k(k+1) > max z, each later term is nonnegative and no larger
+    than the current one, so if adding the current term again changes no
+    element, no later term can (rounding is monotone).  Negative arguments
+    alternate in sign and always take the full series.
     """
     arr = np.asarray(x, dtype=float)
     z = 4.0 * arr
     term = np.full_like(arr, 2.0)
     total = term.copy()
+    z_max = z.max() if z.size and z.min() >= 0 else np.inf
     for k in range(1, 64):
         term = term * z / (k * (k + 1))
         total += term
+        if k % 8 == 0 and k * (k + 1) > z_max and np.array_equal(total + term, total):
+            break
     return float(total) if np.isscalar(x) or arr.ndim == 0 else total
 
 
@@ -167,14 +190,35 @@ def c_coeff(j: int, m: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _k_poly(trunc: Truncation) -> np.ndarray:
-    """Coefficients of the polynomial part of K(tau), ascending powers."""
-    coeffs = np.zeros(trunc.m_max + trunc.j_max + 2)
-    for j in range(2, trunc.j_max + 1):
-        row = _c_row(j, trunc.m_max)
-        scale = 4.0**j / factorial(j)
-        for m in range(trunc.m_max + 1):
-            coeffs[m + j + 1] += scale * float(row[m])
-    return coeffs
+    """Coefficients of the polynomial part of K(tau), ascending powers.
+
+    The float counterpart of `_c_row`: the pair weights are all positive, so
+    the j-fold convolution runs as shifted adds in extended precision on the
+    K + N <= m_max triangle.  The factorial ratio and the (-2)^M sign follow
+    per (K, N) state, the signed sum over j stays in extended precision, and
+    each coefficient is rounded to float64 once.
+    """
+    cap, j_max = trunc.m_max, trunc.j_max
+    fact = _factorials(cap + j_max)
+    k, n = np.ogrid[: cap + 1, : cap + 1]
+    inside = k + n <= cap
+    support = list(zip(*np.nonzero(inside)))
+    pair = np.zeros((cap + 1, cap + 1), dtype=_LONG)
+    for a, b in support:
+        pair[a, b] = _LONG(comb(a + b, a)) / (fact[a + 1] * fact[b + 1])
+    signs = _LONG(-2.0) ** np.arange(cap + 1)
+    coeffs = np.zeros(cap + j_max + 2, dtype=_LONG)
+    conv = pair
+    for j in range(2, j_max + 1):
+        nxt = np.zeros_like(conv)
+        for a, b in support:
+            nxt[a:, b:] += pair[a, b] * conv[: cap + 1 - a, : cap + 1 - b]
+        conv = np.where(inside, nxt, 0)
+        terms = (conv * fact[k + j - 1] * fact[n + j - 1])[inside] / fact[(k + n + j - 1)[inside]]
+        row = np.zeros(cap + 1, dtype=_LONG)
+        np.add.at(row, (k + n)[inside], terms)
+        coeffs[j + 1 : j + cap + 2] += _LONG(4**j) / fact[j] * signs * row
+    return coeffs.astype(float)
 
 
 def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
@@ -411,11 +455,13 @@ def _f4_poly(j: int, m_max: int) -> tuple:
     P(tau', tau) e^{-2 tau'}] with P = sum c_ab tau^a tau'^b; this returns P's
     exact coefficients for the full component-capped sum (every index <=
     m_max).  Edges 2..j share one two-index weight; the first edge carries the
-    extra geometric split index s.  The two-dimensional aggregate state keeps
-    the exact computation cheap at any j, so no numeric engine is needed.
+    extra geometric split index s.  This exact route is the oracle for the
+    extended-precision engine `_f4_block_matrix`, which aggregates the same
+    sum independently.
     """
     if j < 3:
         raise ValueError("F4 blocks start at j = 3")
+    _require_cells(_f4_cells(j, m_max), j, m_max)
     pair_moves = []
     for tp in range(1, m_max + 1):
         for tpp in range(1, m_max + 1):
@@ -481,9 +527,22 @@ def f4_coefficients(j: int, trunc: Truncation = DEFAULT_TRUNCATION) -> dict:
 # keep the worst-case absolute noise near (1, 1) below ~3e-2 at j = 6 (it
 # fades superexponentially away from the corner and is integrable noise for
 # the correlation transforms).
-_LONG = np.longdouble
 _BLOCK_FLOOR = 1e-9  # omit blocks bounded below this against the result scale
-_MAX_CONV_CELLS = 6e7
+_MAX_CONV_CELLS = 6e7  # largest table a series block may allocate
+
+
+def _require_cells(cells: int, j: int, m_max: int) -> None:
+    """Refuse a block whose table would exceed _MAX_CONV_CELLS cells."""
+    if cells > _MAX_CONV_CELLS:
+        raise QuadratureError(
+            f"series tables for j_max={j}, m_max={m_max} need {cells:.1e} cells; "
+            "reduce the truncation"
+        )
+
+
+def _f4_cells(j: int, m_max: int) -> int:
+    """Cells of F4 block j's (a, T', T'') table; the exact DP has fewer states."""
+    return m_max * (j * m_max + 1) ** 2
 
 
 def _f3_lead(j: int) -> float:
@@ -525,14 +584,12 @@ def _f3_edge_tensor(m_max: int) -> np.ndarray:
     return tensor
 
 
-def _conv4(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Dense 4-axis convolution by shifted adds over the edge tensor."""
+def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Dense convolution by shifted adds, one per nonzero edge weight."""
     sa = acc.shape
     out = np.zeros(tuple(x + y - 1 for x, y in zip(sa, edge.shape)), dtype=_LONG)
-    for (t, tp, tpp, s) in np.argwhere(edge):
-        out[t : t + sa[0], tp : tp + sa[1], tpp : tpp + sa[2], s : s + sa[3]] += (
-            edge[t, tp, tpp, s] * acc
-        )
+    for idx in np.argwhere(edge):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, sa))] += edge[tuple(idx)] * acc
     return out
 
 
@@ -544,27 +601,14 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _f3_block_matrix(j: int, m_max: int) -> np.ndarray:
+def _f3_collapse(acc: np.ndarray, j: int) -> np.ndarray:
     """Inner-polynomial coefficient matrix c[a, b] of F3 block j (longdouble).
 
-    Aggregates the full component-capped sum: a positive tensor convolution
-    over the per-edge indices, then a collapse onto monomials.  The sign and
-    2-power depend only on a + b + j, so each c[a, b] is a purely positive
-    group sum times (-2)^(a+b+j) -- no cancellation occurs until evaluation.
+    `acc` is the j-edge positive tensor convolution over the per-edge
+    indices; this collapses it onto monomials.  The sign and 2-power depend
+    only on a + b + j, so each c[a, b] is a purely positive group sum times
+    (-2)^(a+b+j) -- no cancellation occurs until evaluation.
     """
-    if j < 3:
-        raise ValueError("F3 blocks start at j = 3")
-    cells = (j * m_max + 1) ** 3 * (j * (m_max - 1) + 1)
-    if cells > _MAX_CONV_CELLS:
-        raise QuadratureError(
-            f"series tables for j_max={j}, m_max={m_max} need {cells:.1e} cells; "
-            "reduce the truncation"
-        )
-    edge = _f3_edge_tensor(m_max)
-    acc = edge.copy()
-    for _ in range(j - 1):
-        acc = _conv4(acc, edge)
     n_t, n_tp, n_ts, n_s = acc.shape
     size = n_t + n_s  # a = T + S < n_t + n_s; b < n_tp + n_ts - j
     mat = np.zeros((size, size), dtype=_LONG)
@@ -601,14 +645,64 @@ def _f3_block_matrix(j: int, m_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _f3_blocks(j_hi: int, m_max: int) -> tuple:
+    """Coefficient matrices of F3 blocks 3..j_hi, from one walk of the chain.
+
+    Each block aggregates the full component-capped sum: the j-edge tensor
+    convolution, collapsed by `_f3_collapse` on the way up, so block j
+    reuses the j-1 convolutions of the blocks below it.  Only the current
+    chain tensor is held.
+    """
+    if j_hi < 3:
+        raise ValueError("F3 blocks start at j = 3")
+    _require_cells((j_hi * m_max + 1) ** 3 * (j_hi * (m_max - 1) + 1), j_hi, m_max)
+    edge = _f3_edge_tensor(m_max)
+    acc = edge.copy()
+    blocks = []
+    for j in range(2, j_hi + 1):
+        acc = _conv(acc, edge)
+        if j >= 3:
+            blocks.append(_f3_collapse(acc, j))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
 def _f4_block_matrix(j: int, m_max: int) -> np.ndarray:
-    """Half-bracket coefficient matrix of F4 block j in extended precision."""
-    pairs = _f4_poly(j, m_max)
-    a_max = max(a for (a, _), _ in pairs)
-    b_max = max(b for (_, b), _ in pairs)
-    mat = np.zeros((a_max + 1, b_max + 1), dtype=_LONG)
-    for (a, b), c in pairs:
-        mat[a, b] = _LONG(c.numerator) / _LONG(c.denominator)
+    """Half-bracket coefficient matrix c[a, b] of F4 block j (longdouble).
+
+    The sum of `_f4_poly`, aggregated as positive masses: edges 2..j convolve
+    onto the aggregate (T', T''), and the first edge adds its own (t', t'')
+    per split index a = t''_1 - 1 - s.  The factorial weights follow per
+    (a, T', T'') state; b = T' + T'' - j - a, so the sign (-2)^(T'+T'') is
+    (-2)^(a+b+j), one per cell.
+    """
+    if j < 3:
+        raise ValueError("F4 blocks start at j = 3")
+    _require_cells(_f4_cells(j, m_max), j, m_max)
+    fact = _factorials(2 * j * m_max)
+    pair = np.zeros((m_max + 1, m_max + 1), dtype=_LONG)
+    first = np.zeros((m_max, m_max + 1, m_max + 1), dtype=_LONG)
+    for tp in range(1, m_max + 1):
+        for tpp in range(1, m_max + 1):
+            pair[tp, tpp] = _LONG(comb(tpp + tp - 2, tp - 1)) / (fact[tp] * fact[tpp])
+            for s in range(tpp):
+                first[tpp - 1 - s, tp, tpp] = _LONG(comb(s + tp - 1, s)) / (
+                    fact[tpp - 1 - s] * fact[tp] * fact[tpp]
+                )
+    rest = np.ones((1, 1), dtype=_LONG)
+    for _ in range(j - 1):
+        rest = _conv(rest, pair)
+    states = np.stack([_conv(rest, first[a]) for a in range(m_max)])
+    t_idx = np.arange(states.shape[1])
+    edge_fact = fact[np.maximum(t_idx - 1, 0)]
+    states *= edge_fact[:, None] * edge_fact[None, :]
+    a_idx, tp_idx, tpp_idx = np.nonzero(states)
+    b_idx = tp_idx + tpp_idx - j - a_idx
+    mat = np.zeros((m_max, 2 * j * m_max - j + 1), dtype=_LONG)
+    np.add.at(mat, (a_idx, b_idx), states[a_idx, tp_idx, tpp_idx])
+    a_grid, b_grid = np.indices(mat.shape)
+    sign = _LONG(-2.0) ** (a_grid + b_grid + j)
+    mat *= sign * (_LONG(2.0) / fact[j - 1]) / fact[np.maximum(b_grid - 1, 0)]
     return mat
 
 
@@ -620,8 +714,10 @@ def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndar
     prod_max = float(np.max(taus) * np.max(tau_ps))
     sum_max = float(np.max(taus) + np.max(tau_ps))
     inner = np.zeros((taus.size, tau_ps.size), dtype=_LONG)
-    for j in _kept_blocks(trunc.j_max, _f3_lead, prod_max, sum_max):
-        mat = _f3_block_matrix(j, trunc.m_max)
+    kept = _kept_blocks(trunc.j_max, _f3_lead, prod_max, sum_max)
+    blocks = _f3_blocks(max(kept), trunc.m_max) if kept else ()
+    for j in kept:
+        mat = blocks[j - 3]
         va = _powers(taus, mat.shape[0])
         vb = _powers(tau_ps, mat.shape[1])
         inner += va @ mat @ vb.T
@@ -756,7 +852,12 @@ def _f34_table(trunc: Truncation):
     would not add accuracy -- the series evaluation carries a floating-point
     noise floor of roughly 1e-19 times its alternating-term mass (worst near
     the (1,1) corner), and re-sampling the values on a different node set
-    merely re-rolls that noise, at the few-1e-6 level once integrated.
+    merely re-rolls that noise.  Integrated, it is not small: at the default
+    truncation, reordering the F3 chain's sums alone moved F3(1, 1) by 0.026
+    and r3_connected by up to 1.1e-4 (four points with |R3c| ~ 0.01-0.3);
+    also rounding the edge weights to extended precision instead of float64
+    moved them by 0.075 and 3.1e-4.  Treat the F3+F4 part of R3 as known to
+    about 1e-4.
     """
     upper = min(1.0, trunc.tau_cutoff)
     degree = 2 * trunc.j_max * trunc.m_max + 2
@@ -768,8 +869,7 @@ def _f34_table(trunc: Truncation):
     values = _f3_grid(nodes, nodes, trunc) + _f4_grid(nodes, nodes, trunc)
     # The kernel is symmetric, so the antisymmetric part of the table is pure
     # cancellation noise; averaging with the transpose removes it.  Without
-    # this, the noise breaks the relabeling symmetry of the triple transform
-    # at the integrated few-1e-6 level.
+    # this, the noise breaks the relabeling symmetry of the triple transform.
     values = 0.5 * (values + values.T)
     return nodes, weights, values
 

@@ -1,6 +1,7 @@
 """Closed-form and series evaluators: kernels, form factor, correlations."""
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,18 @@ from star_spectra import (
     r3_connected,
     r3_full,
 )
-from star_spectra.analytic import _f3_block_matrix, _f4_block_matrix, _gl_panels
+from star_spectra import analytic
+from star_spectra.analytic import (
+    _c_row,
+    _conv,
+    _f3_blocks,
+    _f3_collapse,
+    _f3_edge_tensor,
+    _f4_block_matrix,
+    _f4_poly,
+    _gl_panels,
+    _k_poly,
+)
 
 # blocks of the two-variable series start at j = 3, so this cutoff keeps
 # exactly the first block -- handy for pinning single-block values
@@ -61,6 +73,41 @@ def test_bessel_ratio_vectorizes():
     assert vals[2] == pytest.approx(9.75946515370445, rel=1e-14)
 
 
+def _bessel_64_terms(x):
+    arr = np.asarray(x, dtype=float)
+    z = 4.0 * arr
+    term = np.full_like(arr, 2.0)
+    total = term.copy()
+    for k in range(1, 64):
+        term = term * z / (k * (k + 1))
+        total += term
+    return total
+
+
+def test_bessel_ratio_early_exit_keeps_the_full_series_bits():
+    # the sum may stop once later terms cannot change it; the result must be
+    # the bits of all 64 terms, on nonnegative and on (alternating) negative
+    # arguments, for arrays, 0-d arrays and scalars
+    rng = np.random.default_rng(17)
+    grids = [
+        np.linspace(0.0, 100.0, 2001),
+        rng.uniform(0.0, 100.0, (7, 9)),
+        rng.uniform(0.0, 1e-3, 50),
+        np.array([0.0, 100.0]),
+        np.array([3.7]),
+    ]
+    for xs in grids:
+        assert np.array_equal(bessel_ratio(xs), _bessel_64_terms(xs))
+        assert np.array_equal(bessel_ratio(-xs), _bessel_64_terms(-xs))
+    mixed = np.array([-2.0, 0.5, 40.0])
+    assert np.array_equal(bessel_ratio(mixed), _bessel_64_terms(mixed))
+    for x in (0.0, 1e-8, 0.37, 16.0, 99.5, 100.0, -0.37, -16.0):
+        want = float(_bessel_64_terms(x))
+        assert bessel_ratio(x) == want
+        assert bessel_ratio(np.array(x)) == want
+        assert isinstance(bessel_ratio(np.array(x)), float)
+
+
 def test_bessel_linear_expansion_bound():
     xs = np.linspace(0.0, 0.1, 100)
     err = np.abs(bessel_ratio(xs) - (2.0 + 4.0 * xs))
@@ -80,6 +127,40 @@ def test_block_count_coefficients_exact_values():
         c_coeff(1, 0)
     with pytest.raises(ValueError):
         c_coeff(2, -1)
+
+
+def _exact_k_poly(trunc):
+    """Exact K-polynomial coefficients and their cross-j masses sum_j |term|."""
+    size = trunc.m_max + trunc.j_max + 2
+    exact, mass = [Fraction(0)] * size, [Fraction(0)] * size
+    for j in range(2, trunc.j_max + 1):
+        row = _c_row(j, trunc.m_max)
+        for m in range(trunc.m_max + 1):
+            term = Fraction(4**j, factorial(j)) * row[m]
+            exact[m + j + 1] += term
+            mass[m + j + 1] += abs(term)
+    return exact, mass
+
+
+@pytest.mark.parametrize("trunc", [Truncation(j_max=8, m_max=20), Truncation(j_max=12, m_max=24)])
+def test_k_poly_matches_exact_coefficients(trunc):
+    # The float table must be the exact sum over j up to its precision: 2 ulp
+    # of the float64 result, plus the extended-precision rounding of the
+    # terms that cancel across j (the low powers cancel up to ~3e6-fold).
+    eps_long = float(np.finfo(np.longdouble).eps)
+    coeffs = _k_poly(trunc)
+    exact, mass = _exact_k_poly(trunc)
+    assert len(coeffs) == len(exact)
+    for got, want, scale in zip(coeffs, exact, mass):
+        tol = 2.0 * float(np.spacing(abs(float(want)))) + 4.0 * eps_long * float(scale)
+        assert abs(Fraction(float(got)) - want) <= tol
+    # K(1/2) against the exact polynomial, within the rounding bound of a
+    # float64 Horner evaluation plus the coefficient tolerance above
+    half = Fraction(1, 2)
+    poly = sum(c * half**p for p, c in enumerate(exact))
+    weight = sum((abs(float(c)) + 4.0 * eps_long * float(w)) * 0.5**p for p, (c, w) in enumerate(zip(exact, mass)))
+    tol = 2.0 * len(exact) * np.finfo(float).eps * weight
+    assert abs(k_formfactor(0.5, trunc) - np.exp(-2.0) - float(poly)) <= tol
 
 
 def test_truncation_validation():
@@ -246,7 +327,7 @@ def test_engine_matches_exact_rational_coefficients():
     # total degree 2*m_max; the engine keeps all orders, so every extra
     # engine cell has to sit strictly beyond that window, and the inner
     # polynomial carries no tau'^0 column.
-    mat3 = _f3_block_matrix(3, SMALL.m_max)
+    mat3 = _f3_blocks(3, SMALL.m_max)[0]
     coeffs3 = f3_coefficients(3, SMALL)
     assert coeffs3
     for (a, b), frac in coeffs3.items():
@@ -280,6 +361,44 @@ def test_engine_matches_exact_rational_coefficients():
     # terms, which at tau + tau' = 0.25 stays under 1e-8
     want3 = 0.25 * _poly_eval(coeffs3, 0.1, 0.15)
     assert f3(0.1, 0.15, SMALL) == pytest.approx(want3, abs=1e-8)
+
+
+@pytest.mark.parametrize("j", [3, 4])
+def test_f4_engine_matches_exact_coefficients(j):
+    # the extended-precision DP and the exact Fraction DP aggregate the same
+    # sum independently; they must agree cell for cell
+    mat = _f4_block_matrix(j, SMALL.m_max)
+    coeffs = f4_coefficients(j, SMALL)
+    assert {(int(a), int(b)) for a, b in zip(*np.nonzero(mat))} == set(coeffs)
+    for (a, b), frac in coeffs.items():
+        assert abs(Fraction(*mat[a, b].as_integer_ratio()) / frac - 1) <= 1e-16
+
+
+def test_f3_blocks_equal_independently_walked_chains():
+    # one walk of the chain must give each block the bits of its own walk
+    m_max = 4
+    edge = _f3_edge_tensor(m_max)
+    blocks = _f3_blocks(5, m_max)
+    assert len(blocks) == 3
+    for j, block in zip((3, 4, 5), blocks):
+        acc = edge.copy()
+        for _ in range(j - 1):
+            acc = _conv(acc, edge)
+        assert np.array_equal(block, _f3_collapse(acc, j))
+
+
+def test_oversized_series_tables_raise_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("a table build started")
+
+    monkeypatch.setattr(analytic, "_f3_edge_tensor", never)
+    monkeypatch.setattr(analytic, "_factorials", never)
+    with pytest.raises(QuadratureError):
+        _f3_blocks(12, 8)
+    with pytest.raises(QuadratureError):
+        _f4_block_matrix(400, 8)
+    with pytest.raises(QuadratureError):
+        _f4_poly(400, 8)
 
 
 def test_block_series_increments_shrink_inside_unit_square():
