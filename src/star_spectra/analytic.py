@@ -11,7 +11,8 @@ This module evaluates, without any Monte Carlo input:
 * the three-point connected kernel F(tau, tau') = F1 + F2 + F3 + F4,
   where F1 is elementary, F2 couples one- and two-dimensional integrals of
   the Bessel kernel, and F3/F4 are alternating multi-index series whose
-  coefficients are assembled here in exact rational arithmetic;
+  coefficients are built by extended-precision engines and checked against
+  exact rational oracles;
 * the quadratic small-argument expansion of F, and the assembled three-point
   correlation function R3.
 
@@ -585,11 +586,40 @@ def _f3_edge_tensor(m_max: int) -> np.ndarray:
 
 
 def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Dense convolution by shifted adds, one per nonzero edge weight."""
-    sa = acc.shape
-    out = np.zeros(tuple(x + y - 1 for x, y in zip(sa, edge.shape)), dtype=_LONG)
+    """Full convolution of `acc` with `edge` over the nonzero support of `acc`.
+
+    `acc` is cut into slabs of 2 along axis min(2, ndim - 1) (T'' for the
+    F3 chain, whose S range shrinks with T''), and each slab is trimmed to
+    the bounding box of its nonzeros.  Every nonzero edge weight, in
+    `np.argwhere` order, then adds its products with each box into the
+    shifted output window.  The result is bitwise that of the dense loop
+    `out[shift] += w * acc`: each output cell receives the same products in
+    the same order, the skipped terms are exact +0.0 products, adding +0.0
+    leaves a nonnegative mass unchanged, and for one edge weight disjoint
+    slabs land in disjoint output windows.  The output is stored with its
+    first axis fastest, so the strided adds run along the full T range
+    instead of the triangle's short S rows; the layout changes no value.
+    """
+    shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
+    out = np.zeros(shape[::-1], dtype=_LONG).T
+    axis = min(2, acc.ndim - 1)
+    boxes = []
+    for lo in range(0, acc.shape[axis], 2):
+        slab = acc[(slice(None),) * axis + (slice(lo, lo + 2),)]
+        nz = np.nonzero(slab)
+        if nz[0].size:
+            starts = [int(i.min()) for i in nz]
+            stops = [int(i.max()) + 1 for i in nz]
+            starts[axis] += lo
+            stops[axis] += lo
+            boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
+    buf = np.empty(max((box.size for _, box in boxes), default=0), dtype=_LONG)
     for idx in np.argwhere(edge):
-        out[tuple(slice(i, i + n) for i, n in zip(idx, sa))] += edge[tuple(idx)] * acc
+        w = edge[tuple(idx)]
+        for starts, box in boxes:
+            prod = np.multiply(w, box, out=buf[: box.size].reshape(box.shape, order="F"))
+            window = out[tuple(slice(i + s, i + s + n) for i, s, n in zip(idx, starts, box.shape))]
+            np.add(window, prod, out=window)
     return out
 
 

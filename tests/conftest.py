@@ -1,6 +1,16 @@
-"""Shared pytest configuration: the --run-slow gate for long ensemble tests."""
+"""Shared pytest configuration: the --run-slow gate for long ensemble tests.
 
-import pytest
+OpenBLAS is held to one thread unless the caller set OPENBLAS_NUM_THREADS.
+Its worker threads spin while they wait, so on a machine shared with another
+CPU-bound job the small batched determinants of `det_root_count` ran up to 80x
+slower.  The cap is set here, before anything imports numpy.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 
 def pytest_addoption(parser):

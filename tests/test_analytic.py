@@ -259,6 +259,13 @@ def test_r2_kernel_scaling_is_linear():
     assert scaled - 1.0 == pytest.approx(2.5 * (unit - 1.0), rel=1e-12)
 
 
+def test_r2_with_converged_kernel_is_nonnegative():
+    # the (12, 60) form factor converges up to tau = 1/2, so R2 stays a
+    # density; the default (6, 8) one does not (R2(1) = -12.47)
+    values = r2_analytic(np.linspace(0.0, 3.0, 61), Truncation(j_max=12, m_max=60))
+    assert values.min() >= 0.0
+
+
 def test_r2_is_even_in_the_gap():
     assert r2_analytic(0.7) == pytest.approx(r2_analytic(-0.7), rel=1e-14)
 
@@ -385,6 +392,57 @@ def test_f3_blocks_equal_independently_walked_chains():
         for _ in range(j - 1):
             acc = _conv(acc, edge)
         assert np.array_equal(block, _f3_collapse(acc, j))
+
+
+def _dense_conv(acc, edge):
+    # the plain loop: one shifted add of w * acc per nonzero edge weight
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape)), dtype=np.longdouble)
+    for idx in np.argwhere(edge):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, acc.shape))] += edge[tuple(idx)] * acc
+    return out
+
+
+def _recorded_conv_inputs(monkeypatch, build, *args):
+    """(acc, edge) of every `_conv` call an uncached table build makes."""
+    calls = []
+
+    def recording(acc, edge):
+        calls.append((acc, edge))
+        return _conv(acc, edge)
+
+    monkeypatch.setattr(analytic, "_conv", recording)
+    build.__wrapped__(*args)
+    monkeypatch.undo()
+    return calls
+
+
+def _boxed(shape, box, seed):
+    # positive random masses inside `box`, exact zeros outside it
+    rng = np.random.default_rng(seed)
+    acc = np.zeros(shape, dtype=np.longdouble)
+    acc[box] = rng.random(acc[box].shape).astype(np.longdouble) + 0.5
+    return acc
+
+
+def test_support_conv_equals_dense_loop(monkeypatch):
+    f3_steps = _recorded_conv_inputs(monkeypatch, _f3_blocks, 5, 4)
+    f4_steps = _recorded_conv_inputs(monkeypatch, _f4_block_matrix, 4, 8)
+    assert len(f3_steps) == 4 and len(f4_steps) == 3 + 8
+    edge4 = _f3_edge_tensor(3)
+    edge2 = _boxed((3, 4), np.s_[:, 1:], 7)
+    edge2[1, 2] = 0.0
+    interior = [
+        # nonzeros in an interior box; slabs along the band axis are empty
+        (_boxed((6, 7, 11, 5), np.s_[2:4, 3:6, 5:8, 1:3], 1), edge4),
+        (_boxed((5, 4, 9, 6), np.s_[1:5, 0:2, 4:5, 2:6], 2), edge4),
+        (_boxed((9, 10), np.s_[3:6, 4:7], 3), edge2),
+    ]
+    for acc, edge in f3_steps + f4_steps + interior:
+        assert np.array_equal(_conv(acc, edge), _dense_conv(acc, edge))
+    for shape, edge in (((5, 6, 7, 4), edge4), ((4, 5), edge2)):
+        got = _conv(np.zeros(shape, dtype=np.longdouble), edge)
+        assert got.shape == tuple(x + y - 1 for x, y in zip(shape, edge.shape))
+        assert got.dtype == np.longdouble and not got.any()
 
 
 def test_oversized_series_tables_raise_before_building(monkeypatch):
