@@ -203,8 +203,8 @@ def _cmd_gen(args):
 
 
 def _cmd_spectrum(args):
-    if args.lambda_max <= 0:
-        raise UsageError("--lambda-max must be positive")
+    if not 0 < args.lambda_max < np.inf:
+        raise UsageError("--lambda-max must be positive and finite")
     try:
         graph = load_graph(args.graph)
     except (OSError, ValueError, KeyError) as exc:
@@ -551,13 +551,7 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"star-spectra: usage error: {exc}", file=sys.stderr)
         return 2
-    except ValidationFailure as exc:
-        print(f"star-spectra: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, QuadratureError) as exc:
-        print(f"star-spectra: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationFailure, ValueError, QuadratureError, OSError) as exc:
         print(f"star-spectra: {exc}", file=sys.stderr)
         return 1
 

@@ -54,8 +54,8 @@ class EnsembleConfig:
             raise ValueError("need at least one outer vertex")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
-        if not self.lambda_max > 0:
-            raise ValueError("lambda_max must be positive")
+        if not 0 < self.lambda_max < np.inf:
+            raise ValueError("lambda_max must be positive and finite")
         if not self.kernel_width > 0:
             raise ValueError("kernel width must be positive")
         object.__setattr__(self, "grid", _freeze_grid(self.grid))

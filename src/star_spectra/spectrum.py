@@ -7,24 +7,27 @@ Two independent secular functions are kept side by side:
   sum_i l_i/cos^2(lambda * l_i) come from one tan per edge, and drive the
   production solver ``solve_spectrum``: a bracket-safeguarded Newton
   iteration, vectorized over all inter-pole intervals.
-* ``secular_det`` -- the determinant  det(I - exp(-i*lambda*Lhat) S)  over the
-  2v directed edges.  It is O(v^3) per evaluation and is retained purely as a
-  cross-check oracle: every root found by the tan form must annihilate the
-  determinant, and independent root counts from both must agree.
+* ``secular_det`` -- the determinant  det(I - W(lambda))  of the v x v
+  unitary W = D C D, with D = diag(exp(-i*lambda*l_i)) and C = (2/v)J - I the
+  center's scattering matrix.  A Schur complement reduces the directed-edge
+  determinant det(I - exp(-i*lambda*Lhat) S) over the 2v bonds exactly to
+  this one.  It is O(v^3) per evaluation, uses none of the rank-one
+  structure the tan form comes from, and is retained purely as a cross-check
+  oracle: every root found by the tan form must annihilate the determinant,
+  and independent root counts from both must agree.
 
 ``secular_real`` is a rotation of the determinant onto the real axis (the
-determinant times ``exp(i*lambda*L/2)`` is purely imaginary for this S-matrix),
-which gives the determinant-side polish a real-valued target.  Root counting
-on the determinant side goes through the eigenphases of the unitary evolution
-instead (``det_root_count``), which stays exact where the determinant's
-magnitude underflows.
+determinant times ``exp(i*lambda*L/2)`` is purely imaginary), which gives the
+determinant-side polish a real-valued target.  Root counting on the
+determinant side goes through the eigenphases of W instead
+(``det_root_count``), which stays exact where the determinant's magnitude
+underflows.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +56,8 @@ class SolverNotConverged(RuntimeError):
 
 
 _MAX_NEWTON_ITERATIONS = 100
+_POLE_TOL = 1e-8
+_DET_POLISH_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -72,59 +77,47 @@ def mean_spacing(graph: StarGraph) -> float:
     return 2.0 * np.pi / graph.total_length
 
 
-@lru_cache(maxsize=64)
-def _bond_matrix(v: int) -> np.ndarray:
-    """2v x 2v directed-edge scattering matrix.
-
-    Directed edges are ordered [out(center->1..v), in(1..v->center)].  An out
-    edge reflects trivially into its own in edge; an in edge scatters at the
-    center with backscatter -1+2/v into itself and transmit 2/v elsewhere.
-    Rows index the outgoing directed edge.
-    """
-    m = np.zeros((2 * v, 2 * v))
-    center = np.full((v, v), 2.0 / v) - np.eye(v)
-    m[:v, v:] = center
-    m[v:, :v] = np.eye(v)
-    return m
-
-
-def _directed_lengths(graph: StarGraph) -> np.ndarray:
-    l = graph.lengths_array()
-    return np.concatenate([l, l])
-
-
 def _evolution_chunks(graph: StarGraph, lams: np.ndarray):
-    """U(lam) = exp(-i*lam*Lhat) S stacked over lams, in chunks of ~2e6 entries.
+    """W(lam) = D C D stacked over lams, in chunks of ~5e5 entries.
 
-    Yields (start, U) with U[k] the directed-edge evolution at lams[start + k].
+    D = diag(exp(-i*lam*l_i)) and C = (2/v)J - I, whose diagonal is the
+    center backscatter -1+2/v and whose off-diagonal is the transmission 2/v.
+    Yields (start, W) with W[k] the unitary at lams[start + k].
     """
-    m = _bond_matrix(graph.v)
-    ld = _directed_lengths(graph)
-    step = max(1, 2_000_000 // (4 * graph.v * graph.v))
+    v = graph.v
+    center = np.full((v, v), 2.0 / v) - np.eye(v)
+    l = graph.lengths_array()
+    step = max(1, 500_000 // (v * v))
     for start in range(0, len(lams), step):
-        phase = np.exp(-1j * np.multiply.outer(lams[start : start + step], ld))
-        yield start, phase[:, :, None] * m
+        d = np.exp(-1j * np.multiply.outer(lams[start : start + step], l))
+        w = d[:, :, None] * center
+        w *= d[:, None, :]
+        yield start, w
 
 
 def _secular_det_batch(graph: StarGraph, lams: np.ndarray) -> np.ndarray:
     out = np.empty(len(lams), dtype=complex)
-    eye = np.eye(2 * graph.v)
-    for start, u in _evolution_chunks(graph, lams):
-        out[start : start + len(u)] = np.linalg.det(eye - u)
+    eye = np.eye(graph.v)
+    for start, w in _evolution_chunks(graph, lams):
+        out[start : start + len(w)] = np.linalg.det(eye - w)
     return out
 
 
 def secular_det(graph: StarGraph, lam: float) -> complex:
-    """det(I - exp(-i*lam*Lhat) S) over directed edges; zero at eigenvalues."""
+    """det(I - W(lam)) with W = D C D; zero at eigenvalues."""
     return complex(_secular_det_batch(graph, np.array([float(lam)]))[0])
 
 
 def secular_real(graph: StarGraph, lams) -> np.ndarray:
     """Real-valued rotation Im(det * exp(i*lam*L/2)); same zeros as the det.
 
-    det(S) = -1 for every v here, which forces det(I - e^{-i lam Lhat} S) *
-    e^{i lam L / 2} onto the imaginary axis, so its imaginary part carries all
-    the information.  For v=1, l=1 this reduces to 2*sin(lam).
+    det W = det(D)^2 det(C) = (-1)^(v-1) exp(-i*lam*L), since C has the
+    eigenvalue 1 once and -1 v-1 times and L = 2*sum(l_i).  With W's
+    eigenphases phi_k, det(I - W) = prod(-2i sin(phi_k/2) exp(i*phi_k/2)),
+    and exp(i*sum(phi_k)/2) = +-i^(v-1) exp(-i*lam*L/2), so the determinant
+    times exp(i*lam*L/2) is (-2i)^v i^(v-1) times a real number: purely
+    imaginary, and its imaginary part carries all the information.  For
+    v=1, l=1 this reduces to 2*sin(lam).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     dets = _secular_det_batch(graph, lams)
@@ -145,14 +138,14 @@ def _tan_sum(x: np.ndarray, l: np.ndarray, out: np.ndarray | None = None):
     return value, t @ l
 
 
-def secular_tan(graph: StarGraph, lam: float, pole_tol: float = 1e-8) -> float:
-    """sum_i tan(lam * l_i); raises PoleProximity within pole_tol of any pole."""
+def secular_tan(graph: StarGraph, lam: float) -> float:
+    """sum_i tan(lam * l_i); raises PoleProximity within _POLE_TOL of any pole."""
     l = graph.lengths_array()
     # distance from lam to the nearest pole pi*(n+1/2)/l_i, per edge
     frac = lam * l / np.pi - 0.5
     dist = np.abs(frac - np.round(frac)) * np.pi / l
-    if np.any(dist < pole_tol):
-        raise PoleProximity(f"lambda={lam} is within {pole_tol} of a tangent pole")
+    if np.any(dist < _POLE_TOL):
+        raise PoleProximity(f"lambda={lam} is within {_POLE_TOL} of a tangent pole")
     return float(_tan_sum(np.array([lam], dtype=float), l)[0][0])
 
 
@@ -185,8 +178,8 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     Raises SolverNotConverged if an interval is still open after 100
     iterations.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not 0 < lambda_max < np.inf:
+        raise ValueError("lambda_max must be positive and finite")
     l = graph.lengths_array()
     poles = _pole_grid(graph, lambda_max)
     a = poles[:-1]
@@ -269,7 +262,7 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     return Spectrum(eigenvalues=roots, lambda_max=float(lambda_max), graph=graph)
 
 
-def polish_roots_det(graph: StarGraph, roots: np.ndarray, steps: int = 5) -> np.ndarray:
+def polish_roots_det(graph: StarGraph, roots: np.ndarray) -> np.ndarray:
     """Secant-polish roots against the determinant-side secular function.
 
     Runs a few derivative-free steps on secular_real (central differences),
@@ -278,7 +271,7 @@ def polish_roots_det(graph: StarGraph, roots: np.ndarray, steps: int = 5) -> np.
     """
     lam = np.array(roots, dtype=float, copy=True)
     eps = 1e-7
-    for _ in range(steps):
+    for _ in range(_DET_POLISH_STEPS):
         stacked = np.concatenate([lam, lam + eps, lam - eps])
         h = secular_real(graph, stacked)
         n = len(lam)
@@ -294,13 +287,15 @@ def polish_roots_det(graph: StarGraph, roots: np.ndarray, steps: int = 5) -> np.
 def det_root_count(graph: StarGraph, lambda_max: float) -> int:
     """Count determinant-side roots in (0, lambda_max] by unitary winding.
 
-    The directed-edge evolution U(lam) = exp(-i*lam*Lhat) S is unitary with
-    det U = det(S) * exp(-i*lam*L), so its eigenphase sum decreases at the
-    exact rate L while each individual phase decreases monotonically, at a
-    rate between the shortest and longest edge length.  lam is an eigenvalue
-    of the graph exactly when a phase passes through zero, so over a step
-    short enough that no phase can complete a full turn the number of
-    passes is the integer (step*L + sum(P_after) - sum(P_before)) / (2*pi).
+    W(lam) = D C D is unitary with det W = (-1)^(v-1) * exp(-i*lam*L), so its
+    eigenphase sum decreases at the exact rate L.  Each individual phase
+    decreases monotonically, at the rate 2<psi|diag(l)|psi> of its unit
+    eigenvector psi, between twice the shortest and twice the longest edge
+    length.  lam is an eigenvalue of the graph exactly when a phase passes
+    through zero, so over a step short enough that no phase can complete a
+    full turn the number of passes is the integer
+    (step*L + sum(P_after) - sum(P_before)) / (2*pi).  The step is
+    pi/(4*l_max), so no phase moves by more than pi/2.
 
     Unlike sign-change counting on the determinant's value, the winding is
     exact where eigenvalues cluster: with nearly equal edge lengths the low
@@ -308,21 +303,21 @@ def det_root_count(graph: StarGraph, lambda_max: float) -> int:
     magnitude there underflows double precision, but each eigenphase of the
     unitary matrix stays perfectly conditioned.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not 0 < lambda_max < np.inf:
+        raise ValueError("lambda_max must be positive and finite")
     two_pi = 2.0 * np.pi
-    # each phase moves by at most step * l_max per step; stay well under 2*pi
-    step = 0.5 * np.pi / float(graph.lengths_array().max())
+    # each phase moves by at most 2 * step * l_max per step; stay well under 2*pi
+    step = 0.25 * np.pi / float(graph.lengths_array().max())
     lams = np.linspace(0.0, lambda_max, int(np.ceil(lambda_max / step)) + 1)
     sums = np.empty(len(lams))
-    for start, u in _evolution_chunks(graph, lams):
+    for start, w in _evolution_chunks(graph, lams):
         # principal eigenphases in [0, 2*pi)
-        phases = np.mod(np.angle(np.linalg.eigvals(u)), two_pi)
+        phases = np.mod(np.angle(np.linalg.eigvals(w)), two_pi)
         if start == 0:
             # lam = 0 is always a determinant root but is excluded from the
             # spectrum, so the phase sitting at zero starts a full turn before
             # its next crossing
             phases[0, phases[0] < 1e-9] += two_pi
-        sums[start : start + len(u)] = phases.sum(axis=1)
+        sums[start : start + len(w)] = phases.sum(axis=1)
     wraps = (np.diff(lams) * graph.total_length + sums[1:] - sums[:-1]) / two_pi
     return int(np.round(wraps).sum())

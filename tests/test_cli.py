@@ -383,6 +383,11 @@ def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
     assert main([*ensemble, "--threads", "0", *out]) == 2
     assert main([*ensemble, "--kernel-width", "0", *out]) == 2
     assert main(["empirical", "r3", "--v", "0", "--realizations", "1", "--lambda-max", "30", *out]) == 2
+    assert main([*ensemble[:-1], "inf", *out]) == 2
+    assert main([*ensemble[:-1], "nan", *out]) == 2
+    assert main(["gen", "--v", "3", "--seed", "1", "--out", str(tmp_path / "g.json")]) == 0
+    for cutoff in ("inf", "nan"):
+        assert main(["spectrum", "--graph", str(tmp_path / "g.json"), "--lambda-max", cutoff, *out]) == 2
     assert not (tmp_path / "r.csv").exists()
     capsys.readouterr()
 

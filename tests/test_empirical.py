@@ -228,6 +228,8 @@ def test_ensemble_config_validation():
         {"v": 0},
         {"realizations": 0},
         {"lambda_max": 0.0},
+        {"lambda_max": float("nan")},
+        {"lambda_max": float("inf")},
         {"kernel_width": 0.0},
         {"kernel_width": -0.1},
     ):

@@ -101,7 +101,7 @@ def test_root_counts_agree_between_forms():
 
 def test_winding_count_across_evolution_chunks():
     # at v = 100 the winding stacks 50 steps per chunk; a cut near lambda = 100
-    # takes 65 steps, so the count runs across a chunk boundary
+    # takes about 130 steps, so the count runs across two chunk boundaries
     graph = build_graph(100, seed=3)
     eigs = solve_spectrum(graph, 101.0).eigenvalues
     i = int(np.searchsorted(eigs, 100.0))
@@ -145,6 +145,24 @@ def test_solver_agrees_with_determinant_side(v, seed, lambda_max):
         assert abs(secular_det(graph, float(lam))) < 1e-8
 
 
+@pytest.mark.parametrize("v", [1, 2, 7, 20])
+def test_reduced_determinant_matches_directed_edge_determinant(v):
+    # the 2v x 2v directed-edge evolution U = exp(-i*lam*Lhat) S, with bonds
+    # ordered [out(center->1..v), in(1..v->center)]: an out bond reflects into
+    # its own in bond, an in bond scatters at the center with C = (2/v)J - I
+    graph = build_graph(v, seed=v)
+    l = graph.lengths_array()
+    s = np.zeros((2 * v, 2 * v))
+    s[:v, v:] = np.full((v, v), 2.0 / v) - np.eye(v)
+    s[v:, :v] = np.eye(v)
+    # midpoints between consecutive eigenvalues keep |det| away from zero
+    eigs = solve_spectrum(graph, 40.0).eigenvalues
+    for lam in 0.5 * (eigs[1:] + eigs[:-1]):
+        u = np.exp(-1j * lam * np.concatenate([l, l]))[:, None] * s
+        expected = np.linalg.det(np.eye(2 * v) - u)
+        np.testing.assert_allclose(secular_det(graph, float(lam)), expected, rtol=1e-10, atol=0)
+
+
 def test_determinant_side_flips_sign_across_roots():
     graph = build_graph(3, seed=9)
     spectrum = solve_spectrum(graph, 30.0)
@@ -158,6 +176,14 @@ def test_nonpositive_cutoff_rejected():
     graph = build_graph(2, seed=0)
     with pytest.raises(ValueError):
         solve_spectrum(graph, 0.0)
+
+
+def test_nonfinite_cutoff_rejected():
+    graph = build_graph(2, seed=0)
+    for count in (solve_spectrum, det_root_count):
+        for cutoff in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                count(graph, cutoff)
 
 
 def test_unconverged_newton_iteration_raises(monkeypatch):
