@@ -36,7 +36,6 @@ from .empirical import (
     r2_from_levels,
     r3_from_levels,
     unfold,
-    worker_count,
 )
 from .graph import StarGraph, build_graph, load_graph, s_amplitude, save_graph
 from .orbits import (
@@ -62,6 +61,7 @@ from .spectrum import (
     solve_spectrum,
 )
 from .trace import SmoothedDensity, density_from_orbits, density_from_spectrum
+from .workers import worker_count
 
 __version__ = "0.1.0"
 

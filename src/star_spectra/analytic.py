@@ -24,6 +24,13 @@ exact `Fraction` routes (`c_coeff`, `f3_coefficients`, `f4_coefficients`)
 build the same coefficients independently; they are the oracles the float
 tables are tested against.  Evaluators are pure; coefficient tables are
 cached per truncation and safe to share across threads.
+
+The two cold builds behind a first R3 evaluation, the F3 chain convolution
+(`_conv`) and the F1+F2 quadrature table (`_f2_square`), run on
+`worker_count()` threads (`STAR_SPECTRA_THREADS`, else the CPU count).  Each
+thread writes a disjoint part of the output, and every output value gets the
+same operations in the same order as on one thread, so the tables are
+bitwise independent of the thread count.  The threads end with the build.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
+
+from .workers import thread_map, worker_count
 
 __all__ = [
     "Truncation",
@@ -327,14 +336,15 @@ def _f2_bracket_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
     return bessel_ratio(tau * tau_ps) + 8.0 * (tau_ps * jp + tau * jt + tau * tau_ps * j2)
 
 
-def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    """F2 at (tau, each tau_p) with a one-shot refinement verification."""
-    tau_ps = np.asarray(tau_ps, dtype=float)
-    n = trunc.quad_points
+def _f2_pair(tau: float, tau_ps: np.ndarray, n: int) -> tuple:
+    """F2 at (tau, each tau_p) under the n-point rule and its 2n-point refinement."""
     s = tau + tau_ps
     pref = np.exp(-4.0 * s) * s
-    coarse = pref * _f2_bracket_rows(tau, tau_ps, n)
-    fine = pref * _f2_bracket_rows(tau, tau_ps, 2 * n)
+    return pref * _f2_bracket_rows(tau, tau_ps, n), pref * _f2_bracket_rows(tau, tau_ps, 2 * n)
+
+
+def _f2_verified(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """The refined row, once it agrees with the coarse one to 1e-8 of its scale."""
     gap = np.max(np.abs(fine - coarse))
     if gap > 1e-8 * max(1.0, float(np.max(np.abs(fine)))):
         raise QuadratureError(
@@ -343,16 +353,43 @@ def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
     return fine
 
 
+def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """F2 at (tau, each tau_p) with a one-shot refinement verification."""
+    return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), trunc.quad_points))
+
+
+# Largest J2 tensor of one F2 task under the refined rule, in cells; it bounds
+# each thread's temporaries (a few MB) in `_f2_square`.
+_F2_TASK_CELLS = 2**16
+
+
 def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
     """F2 on taus x taus for ascending taus.
 
     Row i is evaluated at (taus[i], taus[i:]), the argument order of the
-    scalar view, and mirrored into column i; each row carries its own
-    refinement check.
+    scalar view, and mirrored into column i.  The rows are cut into column
+    chunks of at most `_F2_TASK_CELLS` J2 cells, run on `worker_count()`
+    threads; every value is a function of its own (tau, tau') alone, so the
+    chunking and the thread count change no bit.  Each row's refinement check
+    then runs on the whole row, as in the scalar view.
     """
+    n = trunc.quad_points
+    width = max(1, _F2_TASK_CELLS // (2 * n) ** 2)
+    tasks = [(i, lo) for i in range(taus.size) for lo in range(i, taus.size, width)]
+
+    def run(task):
+        i, lo = task
+        return _f2_pair(float(taus[i]), taus[lo : lo + width], n)
+
+    pairs = thread_map(run, tasks)
+    coarse = np.empty((taus.size, taus.size))
+    fine = np.empty((taus.size, taus.size))
+    for (i, lo), (row_coarse, row_fine) in zip(tasks, pairs):
+        coarse[i, lo : lo + width] = row_coarse
+        fine[i, lo : lo + width] = row_fine
     out = np.empty((taus.size, taus.size))
-    for i, tau in enumerate(taus):
-        out[i, i:] = _f2_rows(float(tau), taus[i:], trunc)
+    for i in range(taus.size):
+        out[i, i:] = _f2_verified(coarse[i, i:], fine[i, i:])
         out[i:, i] = out[i, i:]
     return out
 
@@ -585,41 +622,98 @@ def _f3_edge_tensor(m_max: int) -> np.ndarray:
     return tensor
 
 
-def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Full convolution of `acc` with `edge` over the nonzero support of `acc`.
+def _support_boxes(acc: np.ndarray, axis: int) -> list:
+    """(starts, box) bounding boxes of the nonzeros of `acc`, in axis order.
 
-    `acc` is cut into slabs of 2 along axis min(2, ndim - 1) (T'' for the
-    F3 chain, whose S range shrinks with T''), and each slab is trimmed to
-    the bounding box of its nonzeros.  Every nonzero edge weight, in
-    `np.argwhere` order, then adds its products with each box into the
-    shifted output window.  The result is bitwise that of the dense loop
-    `out[shift] += w * acc`: each output cell receives the same products in
-    the same order, the skipped terms are exact +0.0 products, adding +0.0
-    leaves a nonnegative mass unchanged, and for one edge weight disjoint
-    slabs land in disjoint output windows.  The output is stored with its
-    first axis fastest, so the strided adds run along the full T range
-    instead of the triangle's short S rows; the layout changes no value.
+    A 2-D table is one box: the F4 DP's tables are dense within it.  Higher
+    ranks are cut into slabs of 2 along `axis` (T'' for the F3 chain, whose
+    S range shrinks with T''), and each slab is trimmed to its own box.
     """
-    shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
-    out = np.zeros(shape[::-1], dtype=_LONG).T
-    axis = min(2, acc.ndim - 1)
+    width = 2 if acc.ndim > 2 else acc.shape[axis]
     boxes = []
-    for lo in range(0, acc.shape[axis], 2):
-        slab = acc[(slice(None),) * axis + (slice(lo, lo + 2),)]
-        nz = np.nonzero(slab)
+    for lo in range(0, acc.shape[axis], width):
+        nz = np.nonzero(acc[(slice(None),) * axis + (slice(lo, lo + width),)])
         if nz[0].size:
             starts = [int(i.min()) for i in nz]
             stops = [int(i.max()) + 1 for i in nz]
             starts[axis] += lo
             stops[axis] += lo
             boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
-    buf = np.empty(max((box.size for _, box in boxes), default=0), dtype=_LONG)
-    for idx in np.argwhere(edge):
-        w = edge[tuple(idx)]
-        for starts, box in boxes:
-            prod = np.multiply(w, box, out=buf[: box.size].reshape(box.shape, order="F"))
-            window = out[tuple(slice(i + s, i + s + n) for i, s, n in zip(idx, starts, box.shape))]
-            np.add(window, prod, out=window)
+    return boxes
+
+
+def _balanced_ranges(boxes: list, edge: np.ndarray, axis: int, size: int, parts: int) -> list:
+    """Up to `parts` contiguous [lo, hi) ranges of the output along `axis`.
+
+    Each range receives about the same number of products: output plane p
+    gets, per box, one product per box cell in a plane for each edge weight
+    whose offset along `axis` maps a box plane onto p.
+    """
+    hits = np.bincount(np.nonzero(edge)[axis], minlength=edge.shape[axis])
+    cost = np.zeros(size)
+    for starts, box in boxes:
+        depth = box.shape[axis]
+        lo = starts[axis]
+        cost[lo : lo + hits.size + depth - 1] += (box.size // depth) * np.convolve(hits, np.ones(depth))
+    total = np.cumsum(cost)
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
+    bounds = [0, *np.minimum(cuts, size).tolist(), size]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Full convolution of `acc` with `edge` over the nonzero support of `acc`.
+
+    `acc`'s nonzeros are covered by the boxes of `_support_boxes`.  Every
+    nonzero edge weight, in `np.argwhere` order, then adds its products with
+    each box into the shifted output window.  The result is bitwise that of
+    the dense loop `out[shift] += w * acc`: each output cell receives the same
+    products in the same order, the skipped terms are exact +0.0 products,
+    adding +0.0 leaves a nonnegative mass unchanged, and for one edge weight
+    disjoint slabs land in disjoint output windows.
+
+    Tensors of rank > 2 (the F3 chain) are built on `worker_count()` threads.
+    The output is cut along the slab axis into one contiguous range per
+    thread, balanced by product count; each thread walks every edge weight in
+    the same order and every box, clipped to its own range, through its own
+    product buffer.  Each output cell thus still receives the same products
+    in the same order, from one thread, so the bits do not depend on the
+    thread count.  The output is stored with its first axis fastest, so the
+    strided adds run along the full T range instead of the triangle's short
+    S rows; the layout changes no value.
+    """
+    shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
+    out = np.zeros(shape[::-1], dtype=_LONG).T
+    axis = min(2, acc.ndim - 1)
+    boxes = _support_boxes(acc, axis)
+    weights = [(tuple(idx), edge[tuple(idx)]) for idx in np.argwhere(edge)]
+    parts = worker_count() if acc.ndim > 2 else 1
+    before = (slice(None),) * axis
+
+    def fill(bounds):
+        lo, hi = bounds
+        buf = np.empty(max((box.size for _, box in boxes), default=0), dtype=_LONG)
+        # per edge offset along the axis: each box clipped to [lo, hi), with
+        # its window corner and a product view into this thread's buffer
+        clipped = {}
+        for shift in {idx[axis] for idx, _ in weights}:
+            clipped[shift] = []
+            for starts, box in boxes:
+                a = max(lo - shift - starts[axis], 0)
+                b = min(hi - shift - starts[axis], box.shape[axis])
+                if a < b:
+                    part = box[before + (slice(a, b),)]
+                    corner = list(starts)
+                    corner[axis] += a
+                    dest = buf[: part.size].reshape(part.shape, order="F")
+                    clipped[shift].append((corner, part, dest))
+        for idx, w in weights:
+            for corner, part, dest in clipped[idx[axis]]:
+                np.multiply(w, part, out=dest)
+                window = out[tuple(slice(i + c, i + c + n) for i, c, n in zip(idx, corner, part.shape))]
+                np.add(window, dest, out=window)
+
+    thread_map(fill, _balanced_ranges(boxes, edge, axis, shape[axis], parts))
     return out
 
 

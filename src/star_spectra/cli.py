@@ -246,6 +246,8 @@ def _cmd_orbits_q(args):
 def _cmd_trace_check(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
+    if not np.all(np.isfinite([args.sigma, args.step, args.lambda_min, args.lambda_max])):
+        raise UsageError("--sigma, --step, --lambda-min and --lambda-max must be finite")
     if args.sigma <= 0:
         raise UsageError("--sigma must be positive")
     if args.kmax < 0:

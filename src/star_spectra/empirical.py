@@ -10,7 +10,6 @@ as solved star-graph ensembles.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ import numpy as np
 
 from .graph import build_graph
 from .spectrum import Spectrum, solve_spectrum
+from .workers import worker_count
 
 # Kernel evaluations are cut at this many widths from the target offset; the
 # neglected Gaussian mass (~3e-7 per side) is far below statistical errors.
@@ -280,18 +280,6 @@ def r3_from_levels(level_sets, grid, kernel_width: float):
 
 
 # ------------------------------------------------------- ensemble plumbing --
-
-
-def worker_count(requested=None) -> int:
-    """Worker cap: explicit request, STAR_SPECTRA_THREADS, then cpu count."""
-    if requested is not None:
-        count = int(requested)
-    else:
-        env = os.environ.get("STAR_SPECTRA_THREADS", "").strip()
-        count = int(env) if env else (os.cpu_count() or 1)
-    if count < 1:
-        raise ValueError("worker count must be at least 1")
-    return count
 
 
 def _realization_seed(seed: int, index: int) -> int:

@@ -1,5 +1,6 @@
 """Closed-form and series evaluators: kernels, form factor, correlations."""
 
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -35,6 +36,8 @@ from star_spectra.analytic import (
     _f3_blocks,
     _f3_collapse,
     _f3_edge_tensor,
+    _f2_rows,
+    _f2_square,
     _f4_block_matrix,
     _f4_poly,
     _gl_panels,
@@ -297,11 +300,20 @@ def test_f2_swap_symmetric_exactly():
     assert f2(0.05, 0.6) == f2(0.6, 0.05)
 
 
-def test_f2_refinement_guard_fires_on_coarse_rule():
+def test_f2_refinement_guard_fires_on_coarse_rule(monkeypatch):
     # at large arguments the integrand is too steep for a 2-point rule, so
     # the coarse/fine disagreement must surface as an error, not a value
+    coarse = Truncation(j_max=2, m_max=2, quad_points=2)
     with pytest.raises(QuadratureError):
-        f2(3.5, 3.9, Truncation(j_max=2, m_max=2, quad_points=2))
+        f2(3.5, 3.9, coarse)
+    # the same through the table build: rows cut into chunks of 2 columns,
+    # run on two threads, each row checked whole
+    monkeypatch.setenv("STAR_SPECTRA_THREADS", "2")
+    monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 2 * (2 * coarse.quad_points) ** 2)
+    threads = threading.active_count()
+    with pytest.raises(QuadratureError):
+        _f2_square(_gl_panels(16, 0.0, 4.0)[0], coarse)
+    assert threading.active_count() == threads
 
 
 def test_f3_f4_pinned_first_block_values():
@@ -437,12 +449,41 @@ def test_support_conv_equals_dense_loop(monkeypatch):
         (_boxed((5, 4, 9, 6), np.s_[1:5, 0:2, 4:5, 2:6], 2), edge4),
         (_boxed((9, 10), np.s_[3:6, 4:7], 3), edge2),
     ]
-    for acc, edge in f3_steps + f4_steps + interior:
-        assert np.array_equal(_conv(acc, edge), _dense_conv(acc, edge))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STAR_SPECTRA_THREADS", threads)
+        for acc, edge in f3_steps + f4_steps + interior:
+            assert np.array_equal(_conv(acc, edge), _dense_conv(acc, edge))
     for shape, edge in (((5, 6, 7, 4), edge4), ((4, 5), edge2)):
         got = _conv(np.zeros(shape, dtype=np.longdouble), edge)
         assert got.shape == tuple(x + y - 1 for x, y in zip(shape, edge.shape))
         assert got.dtype == np.longdouble and not got.any()
+
+
+def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
+    # longdouble tables are compared by value: the padding bytes of an x87
+    # longdouble are not part of the value and may differ between copies
+    nodes = _gl_panels(16, 0.0, 4.0)[0]
+    trunc = Truncation(j_max=3, m_max=2, quad_points=16)
+    old_loop = np.empty((nodes.size, nodes.size))
+    for i, tau in enumerate(nodes):
+        old_loop[i, i:] = _f2_rows(float(tau), nodes[i:], trunc)
+        old_loop[i:, i] = old_loop[i, i:]
+    one_chunk = _f2_square(nodes, trunc)
+    threads = threading.active_count()
+    for count in ("1", "2", "3"):
+        monkeypatch.setenv("STAR_SPECTRA_THREADS", count)
+        f3_blocks = _f3_blocks.__wrapped__(5, 4)
+        assert len(f3_blocks) == 3
+        for got, want in zip(f3_blocks, _f3_blocks(5, 4)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_f4_block_matrix.__wrapped__(4, 8), _f4_block_matrix(4, 8))
+        assert np.array_equal(_f2_square(nodes, trunc), old_loop)
+        # rows cut into chunks of 3 columns
+        monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 3 * (2 * trunc.quad_points) ** 2)
+        assert np.array_equal(_f2_square(nodes, trunc), old_loop)
+        monkeypatch.undo()
+        assert threading.active_count() == threads
+    assert np.array_equal(one_chunk, old_loop)
 
 
 def test_oversized_series_tables_raise_before_building(monkeypatch):

@@ -388,6 +388,10 @@ def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
     assert main(["gen", "--v", "3", "--seed", "1", "--out", str(tmp_path / "g.json")]) == 0
     for cutoff in ("inf", "nan"):
         assert main(["spectrum", "--graph", str(tmp_path / "g.json"), "--lambda-max", cutoff, *out]) == 2
+    trace = ["trace-check", "--v", "3", "--kmax", "2", "--lambda-max", "10", *out]
+    for flag in ("--lambda-max", "--lambda-min", "--step", "--sigma"):
+        for value in ("inf", "nan"):
+            assert main([*trace, flag, value]) == 2
     assert not (tmp_path / "r.csv").exists()
     capsys.readouterr()
 
