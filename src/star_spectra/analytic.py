@@ -358,8 +358,10 @@ def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
     return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), trunc.quad_points))
 
 
-# Largest J2 tensor of one F2 task under the refined rule, in cells; it bounds
-# each thread's temporaries (a few MB) in `_f2_square`.
+# Largest J2 tensor of one F2 task under the refined rule, in cells.  It
+# bounds each thread's temporaries in `_f2_square` to a few MB: worker threads
+# allocate from their own malloc arenas, which cannot reuse what the main
+# heap has freed, so larger tasks raise the process's peak memory.
 _F2_TASK_CELLS = 2**16
 
 
@@ -622,26 +624,6 @@ def _f3_edge_tensor(m_max: int) -> np.ndarray:
     return tensor
 
 
-def _support_boxes(acc: np.ndarray, axis: int) -> list:
-    """(starts, box) bounding boxes of the nonzeros of `acc`, in axis order.
-
-    A 2-D table is one box: the F4 DP's tables are dense within it.  Higher
-    ranks are cut into slabs of 2 along `axis` (T'' for the F3 chain, whose
-    S range shrinks with T''), and each slab is trimmed to its own box.
-    """
-    width = 2 if acc.ndim > 2 else acc.shape[axis]
-    boxes = []
-    for lo in range(0, acc.shape[axis], width):
-        nz = np.nonzero(acc[(slice(None),) * axis + (slice(lo, lo + width),)])
-        if nz[0].size:
-            starts = [int(i.min()) for i in nz]
-            stops = [int(i.max()) + 1 for i in nz]
-            starts[axis] += lo
-            stops[axis] += lo
-            boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
-    return boxes
-
-
 def _balanced_ranges(boxes: list, edge: np.ndarray, axis: int, size: int, parts: int) -> list:
     """Up to `parts` contiguous [lo, hi) ranges of the output along `axis`.
 
@@ -664,28 +646,38 @@ def _balanced_ranges(boxes: list, edge: np.ndarray, axis: int, size: int, parts:
 def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """Full convolution of `acc` with `edge` over the nonzero support of `acc`.
 
-    `acc`'s nonzeros are covered by the boxes of `_support_boxes`.  Every
-    nonzero edge weight, in `np.argwhere` order, then adds its products with
-    each box into the shifted output window.  The result is bitwise that of
-    the dense loop `out[shift] += w * acc`: each output cell receives the same
-    products in the same order, the skipped terms are exact +0.0 products,
-    adding +0.0 leaves a nonnegative mass unchanged, and for one edge weight
-    disjoint slabs land in disjoint output windows.
+    A 2-D `acc` (an F4 DP table, dense within its box) is one box.  Higher
+    ranks are cut into slabs of 2 along axis 2 (T'' for the F3 chain, whose
+    S range shrinks with T''), each trimmed to the bounding box of its
+    nonzeros.  Every nonzero edge weight, in `np.argwhere` order, adds its
+    products with each box into the shifted output window.  The result is
+    bitwise that of the dense loop `out[shift] += w * acc`: each output cell
+    receives the same products in the same order, the skipped terms are
+    exact +0.0 products, adding +0.0 leaves a nonnegative mass unchanged, and
+    for one edge weight disjoint slabs land in disjoint output windows.
 
-    Tensors of rank > 2 (the F3 chain) are built on `worker_count()` threads.
-    The output is cut along the slab axis into one contiguous range per
-    thread, balanced by product count; each thread walks every edge weight in
-    the same order and every box, clipped to its own range, through its own
-    product buffer.  Each output cell thus still receives the same products
-    in the same order, from one thread, so the bits do not depend on the
-    thread count.  The output is stored with its first axis fastest, so the
-    strided adds run along the full T range instead of the triangle's short
-    S rows; the layout changes no value.
+    Ranks above 2 run on `worker_count()` threads.  The output is cut along
+    axis 2 into contiguous ranges of about equal product counts, one per
+    thread; each thread walks all edge weights in the same order, with every
+    box clipped to its range, through its own product buffer.  An output
+    cell thus gets the same products in the same order from one thread,
+    whatever the thread count.  The output is stored first axis fastest, so
+    the strided adds run along the full T range instead of the short S rows;
+    the layout changes no value.
     """
     shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
     out = np.zeros(shape[::-1], dtype=_LONG).T
     axis = min(2, acc.ndim - 1)
-    boxes = _support_boxes(acc, axis)
+    width = 2 if acc.ndim > 2 else acc.shape[axis]
+    boxes = []
+    for lo in range(0, acc.shape[axis], width):
+        nz = np.nonzero(acc[(slice(None),) * axis + (slice(lo, lo + width),)])
+        if nz[0].size:
+            starts = [int(i.min()) for i in nz]
+            stops = [int(i.max()) + 1 for i in nz]
+            starts[axis] += lo
+            stops[axis] += lo
+            boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
     weights = [(tuple(idx), edge[tuple(idx)]) for idx in np.argwhere(edge)]
     parts = worker_count() if acc.ndim > 2 else 1
     before = (slice(None),) * axis
