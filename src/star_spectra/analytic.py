@@ -371,7 +371,8 @@ def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
     Row i is evaluated at (taus[i], taus[i:]), the argument order of the
     scalar view, and mirrored into column i.  The rows are cut into column
     chunks of at most `_F2_TASK_CELLS` J2 cells, run on `worker_count()`
-    threads; every value is a function of its own (tau, tau') alone, so the
+    threads.  Every value is a function of its own (tau, tau') alone
+    (`bessel_ratio` stops early only with the full series' bits), so the
     chunking and the thread count change no bit.  Each row's refinement check
     then runs on the whole row, as in the scalar view.
     """

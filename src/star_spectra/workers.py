@@ -17,7 +17,10 @@ def worker_count(requested=None) -> int:
         count = int(requested)
     else:
         env = os.environ.get("STAR_SPECTRA_THREADS", "").strip()
-        count = int(env) if env else (os.cpu_count() or 1)
+        try:
+            count = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"STAR_SPECTRA_THREADS must be an integer, not {env!r}") from None
     if count < 1:
         raise ValueError("worker count must be at least 1")
     return count

@@ -279,6 +279,9 @@ def test_worker_count_sources(monkeypatch):
     assert worker_count() >= 1
     with pytest.raises(ValueError):
         worker_count(0)
+    monkeypatch.setenv("STAR_SPECTRA_THREADS", "two")
+    with pytest.raises(ValueError, match="STAR_SPECTRA_THREADS"):
+        worker_count()
 
 
 def test_grid_shape_is_checked_before_solving():
