@@ -669,10 +669,11 @@ def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
     shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
     out = np.zeros(shape[::-1], dtype=_LONG).T
     axis = min(2, acc.ndim - 1)
+    before = (slice(None),) * axis
     width = 2 if acc.ndim > 2 else acc.shape[axis]
     boxes = []
     for lo in range(0, acc.shape[axis], width):
-        nz = np.nonzero(acc[(slice(None),) * axis + (slice(lo, lo + width),)])
+        nz = np.nonzero(acc[before + (slice(lo, lo + width),)])
         if nz[0].size:
             starts = [int(i.min()) for i in nz]
             stops = [int(i.max()) + 1 for i in nz]
@@ -681,7 +682,6 @@ def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
             boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
     weights = [(tuple(idx), edge[tuple(idx)]) for idx in np.argwhere(edge)]
     parts = worker_count() if acc.ndim > 2 else 1
-    before = (slice(None),) * axis
 
     def fill(bounds):
         lo, hi = bounds
