@@ -93,6 +93,8 @@ class Truncation:
             raise ValueError("cutoffs must be positive")
         if self.quad_points > 16 and self.quad_points % 16:
             raise ValueError("quad_points above 16 must be a multiple of 16")
+        if not np.isfinite(self.tau_cutoff):
+            raise ValueError("tau_cutoff must be finite")
         if self.tau_cutoff < 3:
             raise ValueError("tau_cutoff below 3 would truncate visible mass")
 
@@ -239,6 +241,8 @@ def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
     1/2 are outside its validity and rejected.  K(0) = 1 exactly.
     """
     taus = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau must be finite")
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     if np.any(taus > 0.5):
@@ -280,6 +284,8 @@ def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
     Poisson answer R2 = 1 identically); it is called once, on the nodes.
     """
     xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     upper = min(0.5, trunc.tau_cutoff)
     nodes, weights = _gl_panels(trunc.quad_points, 0.0, upper)
     kv = k_formfactor(nodes, trunc) if kernel is None else np.asarray(kernel(nodes), dtype=float)
@@ -1032,5 +1038,7 @@ def r3_full(
     surrogate hooks propagate to the building blocks (all-zero kernels give
     the Poisson answer 1 for every (x, y)).
     """
+    if not np.isfinite(x) or not np.isfinite(y):
+        raise ValueError("x and y must be finite")
     r2_x, r2_y, r2_xy = r2_analytic(np.array([x, y, x - y]), trunc, kernel=kernel)
     return float(r2_x + r2_y + r2_xy - 2.0 + r3_connected(x, y, trunc, f12=f12, f34=f34))

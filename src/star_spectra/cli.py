@@ -112,10 +112,19 @@ def _parse_range(text: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad range {text!r}; expected three numbers") from None
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise UsageError(f"bad range {text!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise UsageError(f"bad range {text!r}; need step > 0 and hi >= lo")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
+
+
+def _require_finite(args, *names) -> None:
+    """Usage error naming the first of these float flags that is NaN or infinite."""
+    for name in names:
+        if not np.isfinite(getattr(args, name)):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite")
 
 
 def _parse_int_list(text: str, flag: str):
@@ -246,8 +255,7 @@ def _cmd_orbits_q(args):
 def _cmd_trace_check(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
-    if not np.all(np.isfinite([args.sigma, args.step, args.lambda_min, args.lambda_max])):
-        raise UsageError("--sigma, --step, --lambda-min and --lambda-max must be finite")
+    _require_finite(args, "sigma", "step", "lambda_min", "lambda_max")
     if args.sigma <= 0:
         raise UsageError("--sigma must be positive")
     if args.kmax < 0:
@@ -286,16 +294,19 @@ def _cmd_analytic_f(args):
 
 
 def _cmd_analytic_k(args):
+    _require_finite(args, "tau")
     print(_fmt(k_formfactor(args.tau, _truncation_from(args))))
     return 0
 
 
 def _cmd_analytic_r2(args):
+    _require_finite(args, "x")
     print(_fmt(r2_analytic(args.x, _truncation_from(args))))
     return 0
 
 
 def _cmd_analytic_r3(args):
+    _require_finite(args, "x", "y")
     print(_fmt(r3_full(args.x, args.y, _truncation_from(args))))
     return 0
 

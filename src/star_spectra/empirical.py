@@ -6,6 +6,14 @@ triple densities normalized so that uncorrelated (Poisson) input gives 1 on
 every grid point.  The kernel-density core operates on plain level sets, so
 synthetic spectra (Poisson, picket fence) run through the identical code path
 as solved star-graph ensembles.
+
+`estimate_r2` and `estimate_r3` make each realization one job that builds the
+graph, solves, unfolds and runs the same per-realization estimator as
+`r2_from_levels` / `r3_from_levels`.  With several workers the jobs, KDE
+included, run in a process pool that lives for one call, and only a
+grid-sized row of values and counts comes back.  A row depends on its own
+levels alone and the rows are stacked in index order, so the estimates are
+bitwise the same for any worker count, and the same as the level-set route.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ class EnsembleConfig:
             raise ValueError("need at least one realization")
         if not 0 < self.lambda_max < np.inf:
             raise ValueError("lambda_max must be positive and finite")
-        if not self.kernel_width > 0:
-            raise ValueError("kernel width must be positive")
+        if not 0 < self.kernel_width < np.inf:
+            raise ValueError("kernel width must be positive and finite")
         object.__setattr__(self, "grid", _freeze_grid(self.grid))
 
 
@@ -113,19 +121,15 @@ def _gauss(dev: np.ndarray, width: float) -> np.ndarray:
     return np.exp(-0.5 * (dev / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
 
 
-def _kernel_sums(levels: np.ndarray, offset: float, width: float, other=None):
-    """Kernel sums (a, n) of every sorted level over partners near one offset.
+def _partner_window(levels: np.ndarray, offset: float, width: float):
+    """Flattened (rows, cols, targets) of every sorted level's partners near one offset.
 
-    n[i] counts the partners j != i within _SUPPORT widths of level_i + offset;
-    a[i] sums the kernel at d - offset over them, d = level_j - level_i, or with
-    `other` the same-partner product gauss(d - offset) * gauss(d - other), which
-    is zero (no partners) for offsets more than two supports apart.  Each sum
-    runs over its own partners in index order, so one pass serves any references.
+    targets[i] = level_i + offset; (rows[k], cols[k]) runs over the pairs i != j
+    with level_j within _SUPPORT widths of targets[i], rows ascending and each
+    row's partners in index order.
     """
     n = len(levels)
     reach = _SUPPORT * width
-    if other is not None and abs(offset - other) > 2.0 * reach:
-        return np.zeros(n), np.zeros(n, dtype=np.int64)
     targets = levels + offset
     lo = np.searchsorted(levels, targets - reach, side="left")
     hi = np.searchsorted(levels, targets + reach, side="right")
@@ -134,7 +138,24 @@ def _kernel_sums(levels: np.ndarray, offset: float, width: float, other=None):
     # member k of the flattened windows is lo[row] plus its rank in the row
     cols = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     keep = cols != rows
-    rows, cols = rows[keep], cols[keep]
+    return rows[keep], cols[keep], targets
+
+
+def _kernel_sums(levels: np.ndarray, offset: float, width: float, other=None, window=None):
+    """Kernel sums (a, n) of every sorted level over partners near one offset.
+
+    n[i] counts the partners j != i within _SUPPORT widths of level_i + offset;
+    a[i] sums the kernel at d - offset over them, d = level_j - level_i, or with
+    `other` the same-partner product gauss(d - offset) * gauss(d - other), which
+    is zero (no partners) for offsets more than two supports apart.  Each sum
+    runs over its own partners in index order, so one pass serves any references.
+    `window` is `_partner_window(levels, offset, width)` when the caller already
+    has it; the sums are the same bits either way.
+    """
+    n = len(levels)
+    if other is not None and abs(offset - other) > 2.0 * _SUPPORT * width:
+        return np.zeros(n), np.zeros(n, dtype=np.int64)
+    rows, cols, targets = _partner_window(levels, offset, width) if window is None else window
     if other is None:
         weights = _gauss(levels[cols] - targets[rows], width)
     else:
@@ -195,9 +216,12 @@ def _r3_one(levels: np.ndarray, window: float, grid, width: float):
 
     A point averages its six sorted images (u, w), each the reference mean of
     a_u * a_w minus the cross sum.  Points share offsets and x<->y partners share
-    all images, so each distinct offset and image is computed once per call.
+    all images, so each distinct offset's partner window and kernel sums, and
+    each image, are computed once per call; the cross pass of (u, w) reuses
+    u's window.
     """
     retained = _retained(levels, window, width)
+    windows = {}  # offset -> _partner_window(retained, offset, width)
     sums = {}  # offset -> _kernel_sums(retained, offset, width)
     terms = {}  # image (u, w) -> (mean kernel term, triple count)
     values = np.empty(len(grid))
@@ -210,9 +234,10 @@ def _r3_one(levels: np.ndarray, window: float, grid, width: float):
                 mask = _reference_mask(retained, window, width, (u, w), point)
                 for off in (u, w):
                     if off not in sums:
-                        sums[off] = _kernel_sums(retained, off, width)
+                        windows[off] = _partner_window(retained, off, width)
+                        sums[off] = _kernel_sums(retained, off, width, window=windows[off])
                 (a_u, n_u), (a_w, n_w) = sums[u], sums[w]
-                cross, _ = _kernel_sums(retained, u, width, other=w)
+                cross, _ = _kernel_sums(retained, u, width, other=w, window=windows[u])
                 term = (a_u * a_w - cross)[mask].sum() / np.count_nonzero(mask)
                 terms[u, w] = float(term), int((n_u * n_w)[mask].sum())
             term, n = terms[u, w]
@@ -288,35 +313,22 @@ def _realization_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _solve_realization(args):
-    v, lambda_max, seed, index = args
+def _realization_job(job):
+    """Solve, unfold and estimate one realization: (index, values, counts).
+
+    With several workers the whole job, kernel-density estimate included, runs
+    in a pool worker, and only the grid-sized row travels back; with one it
+    runs in the calling process.  The row depends on the realization's own
+    levels alone, so it has the same bits in any process, and `_estimate`
+    stacks the rows in index order.  `estimate_one` is `_r2_one` or `_r3_one`,
+    module-level functions that pickle by reference.
+    """
+    index, v, lambda_max, seed, grid, kernel_width, estimate_one = job
     graph = build_graph(v, _realization_seed(seed, index))
     spectrum = solve_spectrum(graph, lambda_max)
     window = lambda_max * graph.total_length / (2.0 * np.pi)
-    return index, unfold(spectrum), window
-
-
-def _ensemble_levels(config: EnsembleConfig, threads=None) -> list:
-    """Unfolded (levels, window) per realization, index-ordered.
-
-    Realizations are independent jobs keyed by (seed, index); results land in
-    their index slot, so the aggregate does not depend on completion order.
-    """
-    jobs = [
-        (config.v, config.lambda_max, config.seed, index)
-        for index in range(config.realizations)
-    ]
-    out = [None] * config.realizations
-    workers = min(worker_count(threads), config.realizations)
-    if workers == 1:
-        results = map(_solve_realization, jobs)
-        for index, levels, window in results:
-            out[index] = (levels, window)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, levels, window in pool.map(_solve_realization, jobs):
-                out[index] = (levels, window)
-    return out
+    values, counts = estimate_one(unfold(spectrum), window, grid, kernel_width)
+    return index, values, counts
 
 
 def _require_grid(grid, shape: tuple, message: str) -> list:
@@ -328,9 +340,31 @@ def _require_grid(grid, shape: tuple, message: str) -> list:
     return [tuple(map(float, point)) if shape else float(point) for point in grid]
 
 
-def _estimate(config: EnsembleConfig, threads, grid: list, from_levels) -> CorrelationEstimate:
-    level_sets = _ensemble_levels(config, threads)
-    values, stderr, counts = from_levels(level_sets, grid, config.kernel_width)
+def _estimate(config: EnsembleConfig, threads, grid: list, estimate_one, what: str) -> CorrelationEstimate:
+    """Run one `_realization_job` per realization and aggregate as `_from_levels` does.
+
+    Jobs are keyed by (seed, index) and their rows land in their index slot,
+    so the aggregate does not depend on the worker count or completion order.
+    One worker runs the jobs in the calling process; otherwise the pool lives
+    for this call only.
+    """
+    jobs = [
+        (index, config.v, config.lambda_max, config.seed, grid, config.kernel_width, estimate_one)
+        for index in range(config.realizations)
+    ]
+    workers = min(worker_count(threads), config.realizations)
+    if workers == 1:
+        rows = list(map(_realization_job, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_realization_job, jobs))
+    per = [None] * config.realizations
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for index, values, n in rows:
+        per[index] = values
+        counts += n
+    values, stderr = _aggregate(per)
+    _warn_sparse(counts, grid, what)
     return CorrelationEstimate(
         grid=tuple(grid),
         values=tuple(float(v) for v in values),
@@ -348,9 +382,7 @@ def estimate_r2(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     normalized so Poisson input gives 1.
     """
     grid = _require_grid(config.grid, (), "the two-point grid must list scalar distances x")
-    # r2_from_levels is looked up at call time, so wrappers installed on the
-    # module (such as tracing spans) see the call
-    return _estimate(config, threads, grid, r2_from_levels)
+    return _estimate(config, threads, grid, _r2_one, "level pairs")
 
 
 def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
@@ -362,4 +394,4 @@ def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     triple.
     """
     grid = _require_grid(config.grid, (2,), "the three-point grid must list (x, y) pairs")
-    return _estimate(config, threads, grid, r3_from_levels)
+    return _estimate(config, threads, grid, _r3_one, "gap combinations")

@@ -178,6 +178,25 @@ def test_truncation_validation():
     assert DEFAULT_TRUNCATION.degree_cap == 16
 
 
+def test_nonfinite_arguments_are_rejected():
+    for cutoff in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau_cutoff must be finite"):
+            Truncation(tau_cutoff=cutoff)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            k_formfactor(bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            k_formfactor(np.array([0.1, bad]))
+        with pytest.raises(ValueError, match="x must be finite"):
+            r2_analytic(bad)
+        with pytest.raises(ValueError, match="x must be finite"):
+            r2_analytic(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            r3_full(bad, 1.0)
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            r3_full(1.0, bad)
+
+
 def test_quad_points_are_never_rounded():
     # above 16 the composite rule is built from panels of 16, so only
     # multiples of 16 give a rule (and a 2n-point refinement) of the size asked

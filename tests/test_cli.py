@@ -396,6 +396,25 @@ def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nonfinite_values_exit_two(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "r.csv")]
+    ensemble = ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30"]
+    for grid in ("0:inf:0.5", "0:nan:0.5", "-inf:1:0.5", "0:1:inf"):
+        assert main([*ensemble, "--x-grid", grid, *out]) == 2
+    r3 = ["empirical", "r3", "--v", "8", "--realizations", "1", "--lambda-max", "30"]
+    assert main([*r3, "--x-grid", "0.5:1:0.5", "--y-grid", "0:1:inf", *out]) == 2
+    for value in ("inf", "nan"):
+        assert main([*ensemble, "--kernel-width", value, *out]) == 2
+        assert main(["analytic", "r3", "--x", "0.5", "--y", "1", "--tau-cutoff", value]) == 2
+        assert main(["analytic", "k", "--tau", "0.1", "--tau-cutoff", value]) == 2
+        assert main(["analytic", "k", "--tau", value]) == 2
+        assert main(["analytic", "r2", "--x", value]) == 2
+        assert main(["analytic", "r3", "--x", value, "--y", "1"]) == 2
+        assert main(["analytic", "r3", "--x", "0.5", "--y", value]) == 2
+    assert not (tmp_path / "r.csv").exists()
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out.strip()

@@ -1,5 +1,8 @@
 """Monte Carlo correlation estimators: kernel sums, hygiene, ensembles."""
 
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,17 @@ from star_spectra import (
     solve_spectrum,
     unfold,
 )
-from star_spectra.empirical import _SUPPORT, _kernel_sums, _realization_seed, worker_count
+from star_spectra.empirical import (
+    _SUPPORT,
+    _kernel_sums,
+    _partner_window,
+    _r3_one,
+    _realization_seed,
+    _reference_mask,
+    _retained,
+    _triple_images,
+    worker_count,
+)
 from star_spectra.spectrum import Spectrum
 
 PEAK = 1.0 / (0.08 * np.sqrt(2.0 * np.pi))  # Gaussian kernel height at zero
@@ -85,6 +98,7 @@ def _kernel_sums_by_loops(levels, offset, width, other=None):
 @pytest.mark.parametrize(
     "offset, other",
     [(0.0, None), (0.3, None), (-0.3, None), (1.0, None), (0.3, 0.3), (-0.3, -0.3)]
+    + [(0.3, 0.5), (0.3, 0.1), (-0.3, -0.6)]
     + [(0.3, 0.3 + 2.0 * _SUPPORT * 0.08 * s) for s in (1 - 1e-9, 1 + 1e-9)]
     + [(-0.3, -0.3 - 2.0 * _SUPPORT * 0.08 * s) for s in (1 - 1e-9, 1 + 1e-9)],
 )
@@ -94,9 +108,39 @@ def test_kernel_sums_match_double_loop(offset, other):
     want_sums, want_counts = _kernel_sums_by_loops(levels, offset, 0.08, other)
     assert counts.tolist() == want_counts.tolist()
     np.testing.assert_allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+    # _r3_one hands each offset's partner window to its single and cross passes
+    shared = _kernel_sums(levels, offset, 0.08, other, window=_partner_window(levels, offset, 0.08))
+    assert shared[0].tobytes() == sums.tobytes()
+    assert shared[1].tobytes() == counts.tobytes()
     # only offsets more than two supports apart leave every sum at zero
     apart = other is not None and abs(offset - other) > 2.0 * _SUPPORT * 0.08
     assert np.any(sums > 0) != apart
+
+
+def _r3_one_window_per_pass(levels, window, grid, width):
+    """_r3_one with every kernel pass building its own partner window."""
+    retained = _retained(levels, window, width)
+    values, triples = [], []
+    for point in grid:
+        total, count = 0.0, 0
+        for u, w in _triple_images(*point):
+            mask = _reference_mask(retained, window, width, (u, w), point)
+            (a_u, n_u), (a_w, n_w) = _kernel_sums(retained, u, width), _kernel_sums(retained, w, width)
+            cross, _ = _kernel_sums(retained, u, width, other=w)
+            total += float((a_u * a_w - cross)[mask].sum() / np.count_nonzero(mask))
+            count += int((n_u * n_w)[mask].sum())
+        values.append(total / 6.0)
+        triples.append(count)
+    return np.array(values), np.array(triples, dtype=np.int64)
+
+
+def test_r3_shared_windows_keep_the_bits():
+    levels, window = _poisson_sets(41, 1, 400.0)[0]
+    # offsets within two supports of each other, so the cross passes are not empty
+    grid = [(0.5, 0.6), (0.6, 0.5), (0.3, 0.9), (1.0, 1.2), (-0.4, 0.2), (0.7, 0.7)]
+    for got, want in zip(_r3_one(levels, window, grid, 0.08), _r3_one_window_per_pass(levels, window, grid, 0.08)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------ Poisson normalization ----
@@ -232,6 +276,8 @@ def test_ensemble_config_validation():
         {"lambda_max": float("inf")},
         {"kernel_width": 0.0},
         {"kernel_width": -0.1},
+        {"kernel_width": float("inf")},
+        {"kernel_width": float("nan")},
     ):
         with pytest.raises(ValueError):
             EnsembleConfig(**{**good, **patch})
@@ -316,6 +362,57 @@ def test_estimate_r2_deterministic_and_thread_invariant():
     assert serial.values == pooled.values
     assert serial.stderr == pooled.stderr
     assert serial.pairs == pooled.pairs
+
+
+def _solved_level_sets(config):
+    """The ensemble's unfolded (levels, window) sets, solved here one by one."""
+    sets = []
+    for index in range(config.realizations):
+        graph = build_graph(config.v, _realization_seed(config.seed, index))
+        window = config.lambda_max * graph.total_length / (2.0 * np.pi)
+        sets.append((unfold(solve_spectrum(graph, config.lambda_max)), window))
+    return sets
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "estimate, from_levels, grid",
+    [
+        (estimate_r2, r2_from_levels, (0.25, 0.5, 1.0, 1.5)),
+        (estimate_r3, r3_from_levels, ((0.5, 1.0), (1.0, 0.5), (1.5, 1.0), (-0.5, 0.75))),
+    ],
+)
+def test_estimates_are_bitwise_the_level_route_for_any_worker_count(estimate, from_levels, grid):
+    config = EnsembleConfig(v=8, realizations=4, lambda_max=60.0, seed=17, grid=grid)
+    want = [np.asarray(a) for a in from_levels(_solved_level_sets(config), grid, config.kernel_width)]
+    for threads in (1, 2, 3):
+        got = estimate(config, threads=threads)
+        for field, expected in zip((got.values, got.stderr, got.pairs), want):
+            field = np.asarray(field, dtype=expected.dtype)
+            assert field.tobytes() == expected.tobytes()
+    assert not multiprocessing.active_children()
+
+
+def test_worker_error_reaches_the_caller():
+    # each window (18 to 20 unit spacings) is shorter than the gap of 30
+    config = EnsembleConfig(v=3, realizations=3, lambda_max=20.0, seed=2, grid=((30.0, 30.0),))
+    with pytest.raises(ValueError, match="no usable reference levels") as serial:
+        estimate_r3(config, threads=1)
+    with pytest.raises(ValueError, match="no usable reference levels") as pooled:
+        estimate_r3(config, threads=2)
+    assert str(pooled.value) == str(serial.value)
+    assert not multiprocessing.active_children()
+
+
+def test_sparse_warning_is_raised_once_in_the_calling_process():
+    config = EnsembleConfig(v=8, realizations=3, lambda_max=60.0, seed=11, grid=((0.5, 1.0), (1.0, 1.5)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate_r3(config, threads=2)
+    assert [w.category for w in caught] == [RuntimeWarning] * 2
+    for w, point in zip(caught, config.grid):
+        assert f"gap combinations contribute at grid point {point}" in str(w.message)
+        assert w.filename == __file__
 
 
 def test_estimate_r3_deterministic():
