@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -313,7 +314,7 @@ def _realization_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _realization_job(job):
+def _realization_job(config: EnsembleConfig, grid: list, estimate_one, index: int):
     """Solve, unfold and estimate one realization: (index, values, counts).
 
     With several workers the whole job, kernel-density estimate included, runs
@@ -323,11 +324,10 @@ def _realization_job(job):
     stacks the rows in index order.  `estimate_one` is `_r2_one` or `_r3_one`,
     module-level functions that pickle by reference.
     """
-    index, v, lambda_max, seed, grid, kernel_width, estimate_one = job
-    graph = build_graph(v, _realization_seed(seed, index))
-    spectrum = solve_spectrum(graph, lambda_max)
-    window = lambda_max * graph.total_length / (2.0 * np.pi)
-    values, counts = estimate_one(unfold(spectrum), window, grid, kernel_width)
+    graph = build_graph(config.v, _realization_seed(config.seed, index))
+    spectrum = solve_spectrum(graph, config.lambda_max)
+    window = config.lambda_max * graph.total_length / (2.0 * np.pi)
+    values, counts = estimate_one(unfold(spectrum), window, grid, config.kernel_width)
     return index, values, counts
 
 
@@ -348,16 +348,14 @@ def _estimate(config: EnsembleConfig, threads, grid: list, estimate_one, what: s
     One worker runs the jobs in the calling process; otherwise the pool lives
     for this call only.
     """
-    jobs = [
-        (index, config.v, config.lambda_max, config.seed, grid, config.kernel_width, estimate_one)
-        for index in range(config.realizations)
-    ]
+    job = partial(_realization_job, config, grid, estimate_one)
+    indices = range(config.realizations)
     workers = min(worker_count(threads), config.realizations)
     if workers == 1:
-        rows = list(map(_realization_job, jobs))
+        rows = list(map(job, indices))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_realization_job, jobs))
+            rows = list(pool.map(job, indices))
     per = [None] * config.realizations
     counts = np.zeros(len(grid), dtype=np.int64)
     for index, values, n in rows:
