@@ -45,6 +45,7 @@ import numpy as np
 from .workers import thread_map, worker_count
 
 __all__ = [
+    "DEFAULT_TRUNCATION",
     "Truncation",
     "QuadratureError",
     "bessel_ratio",
@@ -233,6 +234,10 @@ def _k_poly(trunc: Truncation) -> np.ndarray:
     return coeffs.astype(float)
 
 
+# K's series is an expansion near tau = 0, used only up to here
+_K_UPPER = 0.5
+
+
 def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
     """Two-point form factor K(tau), truncated at (j_max, m_max).
 
@@ -245,8 +250,8 @@ def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
         raise ValueError("tau must be finite")
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
-    if np.any(taus > 0.5):
-        raise ValueError("form-factor series is only valid for tau <= 0.5")
+    if np.any(taus > _K_UPPER):
+        raise ValueError(f"form-factor series is only valid for tau <= {_K_UPPER}")
     values = np.exp(-4.0 * taus) + np.polynomial.polynomial.polyval(taus, _k_poly(trunc))
     return float(values) if taus.ndim == 0 else values
 
@@ -275,19 +280,18 @@ def _gl_panels(total_points: int, lo: float, hi: float):
 def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
     """Two-point correlation: 1 + symmetrized cosine transform of K.
 
-    R2(x) = 1 + 2 * integral_0^T K(tau) cos(2 pi x tau) dtau with
-    T = min(1/2, tau_cutoff).  The window is the form-factor series' validity
-    domain, so this transform is an approximation controlled by the window,
-    not only by the truncation; it is even in x by construction.  Accepts a
-    scalar x (returns a float) or an array (returns an array of its shape).
+    R2(x) = 1 + 2 * integral_0^(1/2) K(tau) cos(2 pi x tau) dtau.  The window
+    is the form-factor series' validity domain (_K_UPPER), so this transform
+    is an approximation controlled by the window, not only by the truncation;
+    it is even in x by construction.  Accepts a scalar x (returns a float) or
+    an array (returns an array of its shape).
     `kernel` replaces K for surrogate checks (e.g. the zero kernel gives the
     Poisson answer R2 = 1 identically); it is called once, on the nodes.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    upper = min(0.5, trunc.tau_cutoff)
-    nodes, weights = _gl_panels(trunc.quad_points, 0.0, upper)
+    nodes, weights = _gl_panels(trunc.quad_points, 0.0, _K_UPPER)
     kv = k_formfactor(nodes, trunc) if kernel is None else np.asarray(kernel(nodes), dtype=float)
     # associated as (2 pi x) * tau, so an array x gives each element the bits
     # of the scalar call
@@ -965,7 +969,7 @@ def _f34_table(trunc: Truncation):
 
     The alternating series for F3 and F4 only converge for arguments up to 1,
     so their contribution to the double integral is cut at
-    min(1, tau_cutoff) -- beyond that the truncated polynomials would diverge
+    _SERIES_UPPER = 1 -- beyond that the truncated polynomials would diverge
     rather than approximate anything.
 
     This square gets its own single-panel Gauss-Legendre rule, sized by the
@@ -982,11 +986,10 @@ def _f34_table(trunc: Truncation):
     moved them by 0.075 and 3.1e-4.  Treat the F3+F4 part of R3 as known to
     about 1e-4.
     """
-    upper = min(1.0, trunc.tau_cutoff)
     degree = 2 * trunc.j_max * trunc.m_max + 2
     count = max(64, degree // 2 + 4)
     raw_nodes, raw_weights = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * upper
+    half = 0.5 * _SERIES_UPPER
     nodes = half * (raw_nodes + 1.0)
     weights = half * raw_weights
     values = _f3_grid(nodes, nodes, trunc) + _f4_grid(nodes, nodes, trunc)

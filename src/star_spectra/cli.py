@@ -20,6 +20,8 @@ import sys
 import time
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,28 @@ from .trace import density_from_orbits, density_from_spectrum
 # j_max), so the comparison report evaluates K with its own converged cutoffs
 # and records both truncations in the manifest.
 _K_CONVERGED = {"j_max": 12, "m_max": 60}
+
+# Estimator name -> (CSV coordinate columns, ensemble estimator, closed form).
+# Each coordinate c has its own --c-grid flag; the closed form maps the CSV
+# points, a truncation and a K kernel to the analytic values.
+_ESTIMATORS = {
+    "r2": (
+        ("x",),
+        estimate_r2,
+        lambda points, trunc, kernel: r2_analytic(
+            [x for x, in points], trunc, kernel=kernel
+        ).tolist(),
+    ),
+    "r3": (
+        ("x", "y"),
+        estimate_r3,
+        lambda points, trunc, kernel: [r3_full(x, y, trunc, kernel=kernel) for x, y in points],
+    ),
+}
+
+# Most points a grid may hold, checked before it is built: 2-D grids count
+# every (x, y) cell.
+_MAX_GRID_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -103,7 +127,22 @@ def _read_manifest(output_path) -> dict:
 # -------------------------------------------------------------- flag parsing --
 
 
-def _parse_range(text: str):
+def _require_points(count, what: str) -> None:
+    """Usage error unless count (possibly inf) is at most _MAX_GRID_POINTS."""
+    if not count <= _MAX_GRID_POINTS:
+        raise UsageError(
+            f"{what} asks for {count:.3g} grid points; at most {_MAX_GRID_POINTS} are allowed"
+        )
+
+
+def _grid(lo: float, hi: float, step: float, what: str) -> np.ndarray:
+    """lo + i*step for i = 0 .. floor((hi - lo)/step + 1e-9): up to hi, not a step past."""
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    _require_points(count, what)
+    return lo + np.arange(int(count)) * step
+
+
+def _parse_range(text: str) -> np.ndarray:
     """Inclusive lo:hi:step grid."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -116,8 +155,7 @@ def _parse_range(text: str):
         raise UsageError(f"bad range {text!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise UsageError(f"bad range {text!r}; need step > 0 and hi >= lo")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    return _grid(lo, hi, step, f"range {text!r}")
 
 
 def _require_finite(args, *names) -> None:
@@ -185,7 +223,8 @@ def _kernel_table(args):
         raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
     if not 0 < args.step <= args.tau_max:
         raise UsageError("--step must lie in (0, tau-max]")
-    taus = np.arange(int(np.floor(args.tau_max / args.step + 1e-9)) + 1) * args.step
+    taus = _grid(0.0, args.tau_max, args.step, "--tau-max/--step")
+    _require_points(len(taus) ** 2, "the (tau, tau') square")
     parts = f_components(taus, trunc)
     total = parts[0] + parts[1] + parts[2] + parts[3]
     rows = [
@@ -263,9 +302,7 @@ def _cmd_trace_check(args):
     if args.step <= 0 or args.lambda_max <= args.lambda_min:
         raise UsageError("need --step > 0 and --lambda-max > --lambda-min")
     graph = build_graph(args.v, args.seed)
-    grid = np.arange(
-        args.lambda_min, args.lambda_max + 0.5 * args.step, args.step
-    )
+    grid = _grid(args.lambda_min, args.lambda_max, args.step, "--lambda-min/--lambda-max/--step")
     # eigenvalues beyond the window still leak Gaussian mass into it
     spectrum = solve_spectrum(graph, args.lambda_max + 8.0 * args.sigma)
     exact = density_from_spectrum(spectrum, grid, args.sigma)
@@ -323,20 +360,16 @@ def _cmd_expansion_table(args):
 
 
 def _cmd_empirical(args):
-    xs = _parse_range(args.x_grid)
-    if args.empirical_command == "r2":
-        coords, estimate_fn = ("x",), estimate_r2
-        grid = tuple(xs)
-    else:
-        coords, estimate_fn = ("x", "y"), estimate_r3
-        grid = tuple((x, y) for x in xs for y in _parse_range(args.y_grid))
+    coords, estimate_fn, _ = _ESTIMATORS[args.empirical_command]
+    axes = [_parse_range(getattr(args, f"{c}_grid")) for c in coords]
+    _require_points(prod(map(len, axes)), "the estimator grid")
+    grid = tuple(product(*axes)) if len(axes) > 1 else tuple(axes[0])
     config = _ensemble_from(args, grid)
     estimate = estimate_fn(config, threads=args.threads)
+    columns = zip(estimate.grid, estimate.values, estimate.stderr, estimate.pairs)
     rows = [
-        (*(_fmt(c) for c in np.atleast_1d(point)), _fmt(val), _fmt(err), str(int(count)))
-        for point, val, err, count in zip(
-            estimate.grid, estimate.values, estimate.stderr, estimate.pairs
-        )
+        (*map(_fmt, (*np.atleast_1d(point), val, err)), str(int(count)))
+        for point, val, err, count in columns
     ]
     _write_csv(args.out, (*coords, "estimate", "stderr", "pairs"), rows)
     return {"estimator": args.empirical_command, "ensemble": asdict(config)}
@@ -351,45 +384,29 @@ def _cmd_compare(args):
     config_echo = manifest.get("config", {})
     estimator = config_echo.get("estimator")
     ensemble = config_echo.get("ensemble")
-    if estimator not in {"r2", "r3"} or not isinstance(ensemble, dict):
+    if estimator not in _ESTIMATORS or not isinstance(ensemble, dict):
         raise ValidationFailure(
             "input manifest carries no ensemble metadata; refusing to compare"
         )
     out_path = Path(args.out)
-    protected = {
-        input_path.resolve(),
-        Path(str(input_path) + ".manifest.json").resolve(),
-    }
+    protected = {input_path.resolve(), Path(str(input_path) + ".manifest.json").resolve()}
     for target in (out_path, Path(str(out_path) + ".manifest.json")):
         if target.resolve() in protected:
             raise ValidationFailure(f"refusing to overwrite input file {target}")
-    rows_in = _read_csv_rows(input_path, estimator)
+    coords, _, closed_form = _ESTIMATORS[estimator]
+    rows_in = _read_csv_rows(input_path, coords)
     k_trunc = replace(
         trunc,
         j_max=max(_K_CONVERGED["j_max"], trunc.j_max),
         m_max=max(_K_CONVERGED["m_max"], trunc.m_max),
     )
     kernel = partial(k_formfactor, trunc=k_trunc)
-    if estimator == "r2":
-        xs = [point[0] for point, _, _ in rows_in]
-        analytic = r2_analytic(xs, trunc, kernel=kernel).tolist()
-    else:
-        analytic = [r3_full(x, y, trunc, kernel=kernel) for (x, y), _, _ in rows_in]
+    analytic = closed_form([point for point, _, _ in rows_in], trunc, kernel)
     rows = []
     for (point, estimate, stderr), value in zip(rows_in, analytic):
         deviation = abs(estimate - value)
         sigmas = deviation / stderr if stderr > 0 else float("inf")
-        rows.append(
-            (
-                *(_fmt(c) for c in point),
-                _fmt(estimate),
-                _fmt(stderr),
-                _fmt(value),
-                _fmt(deviation),
-                _fmt(sigmas),
-            )
-        )
-    coords = ("x",) if estimator == "r2" else ("x", "y")
+        rows.append(tuple(map(_fmt, (*point, estimate, stderr, value, deviation, sigmas))))
     header = (*coords, "estimate", "stderr", "analytic", "abs_deviation", "sigma_deviation")
     _write_csv(out_path, header, rows)
     return {
@@ -401,19 +418,13 @@ def _cmd_compare(args):
     }
 
 
-def _read_csv_rows(path: Path, estimator: str):
+def _read_csv_rows(path: Path, coords: tuple):
     lines = path.read_text().splitlines()
     if not lines:
         raise ValidationFailure(f"input {path} is empty")
     header = lines[0].split(",")
-    coord_count = 1 if estimator == "r2" else 2
-    expected = ["x", "estimate", "stderr", "pairs"] if coord_count == 1 else [
-        "x",
-        "y",
-        "estimate",
-        "stderr",
-        "pairs",
-    ]
+    n = len(coords)
+    expected = [*coords, "estimate", "stderr", "pairs"]
     if header != expected:
         raise ValidationFailure(
             f"input {path} has columns {header}, expected {expected}"
@@ -422,11 +433,8 @@ def _read_csv_rows(path: Path, estimator: str):
     for line in lines[1:]:
         if not line:
             continue
-        cells = line.split(",")
-        point = tuple(float(c) for c in cells[:coord_count])
-        estimate = float(cells[coord_count])
-        stderr = float(cells[coord_count + 1])
-        rows.append((point, estimate, stderr))
+        cells = [float(c) for c in line.split(",")[: n + 2]]  # pairs is not read
+        rows.append((tuple(cells[:n]), cells[n], cells[n + 1]))
     if not rows:
         raise ValidationFailure(f"input {path} has no data rows")
     return rows
@@ -520,16 +528,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("empirical", help="Monte Carlo correlation estimates")
     empirical_sub = p.add_subparsers(dest="empirical_command", required=True)
-    for name in ("r2", "r3"):
+    for name, (coords, _, _) in _ESTIMATORS.items():
         e = empirical_sub.add_parser(name, help=f"estimate {name} over an ensemble")
         e.add_argument("--v", type=int, required=True)
         e.add_argument("--realizations", type=int, required=True)
         e.add_argument("--lambda-max", type=float, required=True)
         e.add_argument("--seed", type=int, default=0)
         e.add_argument("--kernel-width", type=float, default=0.08)
-        e.add_argument("--x-grid", default="0:3:0.25", help="lo:hi:step")
-        if name == "r3":
-            e.add_argument("--y-grid", default="0:3:0.25", help="lo:hi:step")
+        for c in coords:
+            e.add_argument(f"--{c}-grid", default="0:3:0.25", help="lo:hi:step")
         e.add_argument("--threads", type=int, default=None)
         e.add_argument("--out", default=f"{name}.csv")
         e.set_defaults(handler=_cmd_empirical)

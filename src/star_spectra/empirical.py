@@ -12,8 +12,9 @@ graph, solves, unfolds and runs the same per-realization estimator as
 `r2_from_levels` / `r3_from_levels`.  With several workers the jobs, KDE
 included, run in a process pool that lives for one call, and only a
 grid-sized row of values and counts comes back.  A row depends on its own
-levels alone and the rows are stacked in index order, so the estimates are
-bitwise the same for any worker count, and the same as the level-set route.
+levels alone and the rows come back in realization order, so the estimates
+are bitwise the same for any worker count, and the same as the level-set
+route.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ import numpy as np
 from .graph import build_graph
 from .spectrum import Spectrum, solve_spectrum
 from .workers import worker_count
+
+__all__ = [
+    "CorrelationEstimate",
+    "EnsembleConfig",
+    "estimate_r2",
+    "estimate_r3",
+    "r2_from_levels",
+    "r3_from_levels",
+    "unfold",
+]
 
 # Kernel evaluations are cut at this many widths from the target offset; the
 # neglected Gaussian mass (~3e-7 per side) is far below statistical errors.
@@ -249,17 +260,20 @@ def _r3_one(levels: np.ndarray, window: float, grid, width: float):
     return values, triples
 
 
-def _aggregate(per_realization: list):
-    stacked = np.vstack(per_realization)
-    values = stacked.mean(axis=0)
-    if len(per_realization) > 1:
-        stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(per_realization))
+def _aggregate(rows: list, grid, what: str):
+    """(values, stderr, counts) over per-realization (values, counts) rows.
+
+    Values are the mean over the rows, with the standard error of that mean;
+    counts are summed.  Grid points with fewer than _SPARSE_COUNT counts warn
+    at the line that called the public estimator: three frames up, past
+    `_from_levels` or `_estimate` and the estimator itself.
+    """
+    stacked = np.vstack([values for values, _ in rows])
+    counts = np.sum([n for _, n in rows], axis=0, dtype=np.int64)
+    if len(rows) > 1:
+        stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(rows))
     else:
         stderr = np.zeros(stacked.shape[1])
-    return values, stderr
-
-
-def _warn_sparse(counts: np.ndarray, grid, what: str) -> None:
     for point, n in zip(grid, counts):
         if n < _SPARSE_COUNT:
             warnings.warn(
@@ -268,19 +282,16 @@ def _warn_sparse(counts: np.ndarray, grid, what: str) -> None:
                 RuntimeWarning,
                 stacklevel=4,
             )
+    return stacked.mean(axis=0), stderr, counts
 
 
 def _from_levels(level_sets, grid: list, kernel_width: float, estimate_one, what: str):
     """Run the per-realization `estimate_one` over level_sets and aggregate."""
-    per = []
-    counts = np.zeros(len(grid), dtype=np.int64)
-    for levels, window in level_sets:
-        values, n = estimate_one(np.asarray(levels, dtype=float), float(window), grid, kernel_width)
-        per.append(values)
-        counts += n
-    values, stderr = _aggregate(per)
-    _warn_sparse(counts, grid, what)
-    return values, stderr, counts
+    rows = [
+        estimate_one(np.asarray(levels, dtype=float), float(window), grid, kernel_width)
+        for levels, window in level_sets
+    ]
+    return _aggregate(rows, grid, what)
 
 
 def r2_from_levels(level_sets, grid, kernel_width: float):
@@ -314,41 +325,38 @@ def _realization_seed(seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _realization_job(config: EnsembleConfig, grid: list, estimate_one, index: int):
-    """Solve, unfold and estimate one realization: (index, values, counts).
+def _realization_job(config: EnsembleConfig, estimate_one, index: int):
+    """Solve, unfold and estimate one realization: (values, counts) on config.grid.
 
     With several workers the whole job, kernel-density estimate included, runs
     in a pool worker, and only the grid-sized row travels back; with one it
     runs in the calling process.  The row depends on the realization's own
-    levels alone, so it has the same bits in any process, and `_estimate`
-    stacks the rows in index order.  `estimate_one` is `_r2_one` or `_r3_one`,
-    module-level functions that pickle by reference.
+    levels alone, so it has the same bits in any process.  `estimate_one` is
+    `_r2_one` or `_r3_one`, module-level functions that pickle by reference.
     """
     graph = build_graph(config.v, _realization_seed(config.seed, index))
     spectrum = solve_spectrum(graph, config.lambda_max)
     window = config.lambda_max * graph.total_length / (2.0 * np.pi)
-    values, counts = estimate_one(unfold(spectrum), window, grid, config.kernel_width)
-    return index, values, counts
+    return estimate_one(unfold(spectrum), window, config.grid, config.kernel_width)
 
 
-def _require_grid(grid, shape: tuple, message: str) -> list:
-    """config.grid as floats (shape ()) or float tuples (shape (2,))."""
+def _require_grid(grid, shape: tuple, message: str) -> None:
+    """Reject an empty grid or one whose points do not all have this shape."""
     if any(np.shape(point) != shape for point in grid):
         raise ValueError(message)
     if not grid:
         raise ValueError("config.grid must list at least one evaluation point")
-    return [tuple(map(float, point)) if shape else float(point) for point in grid]
 
 
-def _estimate(config: EnsembleConfig, threads, grid: list, estimate_one, what: str) -> CorrelationEstimate:
+def _estimate(config: EnsembleConfig, threads, estimate_one, what: str) -> CorrelationEstimate:
     """Run one `_realization_job` per realization and aggregate as `_from_levels` does.
 
-    Jobs are keyed by (seed, index) and their rows land in their index slot,
-    so the aggregate does not depend on the worker count or completion order.
-    One worker runs the jobs in the calling process; otherwise the pool lives
-    for this call only.
+    Jobs are keyed by (seed, index), and both `map` and the pool's `map` return
+    the rows in index order, so the aggregate does not depend on the worker
+    count or completion order.  One worker runs the jobs in the calling
+    process; otherwise the pool lives for this call only.
     """
-    job = partial(_realization_job, config, grid, estimate_one)
+    job = partial(_realization_job, config, estimate_one)
     indices = range(config.realizations)
     workers = min(worker_count(threads), config.realizations)
     if workers == 1:
@@ -356,15 +364,9 @@ def _estimate(config: EnsembleConfig, threads, grid: list, estimate_one, what: s
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(job, indices))
-    per = [None] * config.realizations
-    counts = np.zeros(len(grid), dtype=np.int64)
-    for index, values, n in rows:
-        per[index] = values
-        counts += n
-    values, stderr = _aggregate(per)
-    _warn_sparse(counts, grid, what)
+    values, stderr, counts = _aggregate(rows, config.grid, what)
     return CorrelationEstimate(
-        grid=tuple(grid),
+        grid=config.grid,
         values=tuple(float(v) for v in values),
         stderr=tuple(float(s) for s in stderr),
         pairs=tuple(int(n) for n in counts),
@@ -379,8 +381,8 @@ def estimate_r2(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     signed distance near x, kernel-smoothed with the configured width and
     normalized so Poisson input gives 1.
     """
-    grid = _require_grid(config.grid, (), "the two-point grid must list scalar distances x")
-    return _estimate(config, threads, grid, _r2_one, "level pairs")
+    _require_grid(config.grid, (), "the two-point grid must list scalar distances x")
+    return _estimate(config, threads, _r2_one, "level pairs")
 
 
 def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
@@ -391,5 +393,5 @@ def estimate_r3(config: EnsembleConfig, threads=None) -> CorrelationEstimate:
     Poisson input gives 1, and symmetrized over the six relabelings of the
     triple.
     """
-    grid = _require_grid(config.grid, (2,), "the three-point grid must list (x, y) pairs")
-    return _estimate(config, threads, grid, _r3_one, "gap combinations")
+    _require_grid(config.grid, (2,), "the three-point grid must list (x, y) pairs")
+    return _estimate(config, threads, _r3_one, "gap combinations")

@@ -25,6 +25,9 @@ from .spectrum import Spectrum
 
 __all__ = ["SmoothedDensity", "density_from_orbits", "density_from_spectrum"]
 
+# density_from_orbits refuses requests of more than this many words v^k_max
+_MAX_WORDS = 10**7
+
 
 @dataclass(frozen=True)
 class SmoothedDensity:
@@ -54,26 +57,20 @@ def density_from_spectrum(spectrum: Spectrum, grid, sigma: float) -> SmoothedDen
     return SmoothedDensity(grid=grid, values=values, sigma=float(sigma), max_period=0)
 
 
-def density_from_orbits(
-    graph: StarGraph,
-    grid,
-    sigma: float,
-    k_max: int,
-    max_words: int = 10**7,
-) -> SmoothedDensity:
+def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> SmoothedDensity:
     """Weyl term plus the Gaussian-smoothed orbit sum up to half-period k_max.
 
     Orbits are enumerated as canonical cyclic words of each length k <= k_max
     (repetitions included, weighted 1/r_p), so the word count grows like
-    v^k_max / k_max; the max_words budget guards against runaway requests.
+    v^k_max / k_max; the _MAX_WORDS budget guards against runaway requests.
     k_max=0 returns the bare Weyl density L/(2*pi).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if k_max > 0 and graph.v**k_max > max_words:
+    if k_max > 0 and graph.v**k_max > _MAX_WORDS:
         raise ValueError(
             f"orbit enumeration v^k_max = {graph.v}^{k_max} exceeds the "
-            f"budget of {max_words} words"
+            f"budget of {_MAX_WORDS} words"
         )
     grid = np.asarray(grid, dtype=float)
     values = np.full_like(grid, graph.total_length / (2.0 * np.pi))

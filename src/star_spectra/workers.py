@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+__all__ = ["worker_count"]
+
 
 def worker_count(requested=None) -> int:
     """Worker cap: explicit request, STAR_SPECTRA_THREADS, then cpu count."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from star_spectra import Truncation, build_graph, f_components, solve_spectrum
-from star_spectra.cli import main
+from star_spectra.cli import UsageError, _parse_range, main
 
 TINY = ("--j-max", "2", "--m-max", "4")  # keeps the block series empty
 
@@ -162,6 +162,15 @@ def test_trace_check_writes_density_table(tmp_path):
     assert len(lines) == 1 + 31  # 5..20 inclusive at step 0.5
     manifest = _read_manifest(out)
     assert manifest["config"]["kmax"] == 6
+
+
+def test_trace_check_stops_at_lambda_max(tmp_path):
+    out = tmp_path / "density.csv"
+    argv = ["trace-check", "--v", "2", "--kmax", "2", "--lambda-min", "5", "--lambda-max", "50.03"]
+    assert main([*argv, "--step", "0.05", "--out", str(out)]) == 0
+    lambdas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(lambdas) == 901  # 5, 5.05, ..., 50: a step more would pass 50.03
+    assert lambdas[-1] <= 50.03
 
 
 # ----------------------------------------------------------------- analytic --
@@ -413,6 +422,33 @@ def test_nonfinite_values_exit_two(tmp_path, capsys):
         assert main(["analytic", "r3", "--x", "0.5", "--y", value]) == 2
     assert not (tmp_path / "r.csv").exists()
     assert "nan" not in capsys.readouterr().out
+
+
+def test_overflowing_range_is_a_usage_error():
+    with pytest.raises(UsageError, match="grid points"):
+        _parse_range("0:1e300:1e-300")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30", "--x-grid", "0:1e9:1e-9"],
+        ["expansion-table", "--step", "1e-12", "--tau-max", "0.06"],
+        ["analytic", "f", "--step", "1e-300"],
+        # each axis fits, but the square or the (x, y) product does not
+        ["analytic", "f", "--tau-max", "1", "--step", "0.001"],
+        [
+            "empirical", "r3", "--v", "8", "--realizations", "1", "--lambda-max", "30",
+            "--x-grid", "0:400:0.01", "--y-grid", "0:400:0.01",
+        ],
+    ],
+    ids=["r2-x-grid", "expansion-table", "analytic-f", "analytic-f-square", "r3-product"],
+)
+def test_grid_over_the_point_cap_exits_two(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "grid points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):
