@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -68,9 +69,9 @@ _ESTIMATORS = {
     ),
 }
 
-# Most points a grid may hold, checked before it is built: 2-D grids count
-# every (x, y) cell.
-_MAX_GRID_POINTS = 100_000
+# Most cells a grid may hold: physical memory in 8-byte floats.  Every command
+# keeps at least one float64 per cell (a 2-D grid counts every (x, y) cell).
+_MAX_GRID_POINTS = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 8
 
 
 class UsageError(Exception):
@@ -131,13 +132,18 @@ def _require_points(count, what: str) -> None:
     """Usage error unless count (possibly inf) is at most _MAX_GRID_POINTS."""
     if not count <= _MAX_GRID_POINTS:
         raise UsageError(
-            f"{what} asks for {count:.3g} grid points; at most {_MAX_GRID_POINTS} are allowed"
+            f"{what} asks for {count:.3g} grid points; at most {_MAX_GRID_POINTS:.3g} fit in memory"
         )
+
+
+def _count(lo: float, hi: float, step: float) -> float:
+    """Points in lo, lo + step, ... up to hi: floor((hi - lo)/step + 1e-9) + 1, maybe inf."""
+    return float(np.floor((hi - lo) / step + 1e-9)) + 1
 
 
 def _grid(lo: float, hi: float, step: float, what: str) -> np.ndarray:
     """lo + i*step for i = 0 .. floor((hi - lo)/step + 1e-9): up to hi, not a step past."""
-    count = np.floor((hi - lo) / step + 1e-9) + 1
+    count = _count(lo, hi, step)
     _require_points(count, what)
     return lo + np.arange(int(count)) * step
 
@@ -223,8 +229,9 @@ def _kernel_table(args):
         raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
     if not 0 < args.step <= args.tau_max:
         raise UsageError("--step must lie in (0, tau-max]")
+    side = _count(0.0, args.tau_max, args.step)
+    _require_points(side * side, "the (tau, tau') square")  # before either axis is built
     taus = _grid(0.0, args.tau_max, args.step, "--tau-max/--step")
-    _require_points(len(taus) ** 2, "the (tau, tau') square")
     parts = f_components(taus, trunc)
     total = parts[0] + parts[1] + parts[2] + parts[3]
     rows = [
@@ -312,15 +319,8 @@ def _cmd_trace_check(args):
         for lam, od, sd in zip(grid, orbit.values, exact.values)
     ]
     _write_csv(args.out, ("lambda", "orbit_density", "spectral_density"), rows)
-    return {
-        "v": args.v,
-        "seed": args.seed,
-        "kmax": args.kmax,
-        "sigma": args.sigma,
-        "lambda_min": args.lambda_min,
-        "lambda_max": args.lambda_max,
-        "step": args.step,
-    }
+    echoed = ("v", "seed", "kmax", "sigma", "lambda_min", "lambda_max", "step")
+    return {name: getattr(args, name) for name in echoed}
 
 
 def _cmd_analytic_f(args):
@@ -430,10 +430,12 @@ def _read_csv_rows(path: Path, coords: tuple):
             f"input {path} has columns {header}, expected {expected}"
         )
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = [float(c) for c in line.split(",")[: n + 2]]  # pairs is not read
+        if len(cells) < n + 2:
+            raise ValidationFailure(f"input {path} line {number} has too few cells: {line!r}")
         rows.append((tuple(cells[:n]), cells[n], cells[n + 1]))
     if not rows:
         raise ValidationFailure(f"input {path} has no data rows")
@@ -508,9 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_truncation_flags(r2_parser)
     r2_parser.set_defaults(handler=_cmd_analytic_r2)
 
-    r3_parser = analytic_sub.add_parser(
-        "r3", help="full three-point correlation at one (x, y)"
-    )
+    r3_parser = analytic_sub.add_parser("r3", help="full three-point correlation at one (x, y)")
     r3_parser.add_argument("--x", type=float, required=True)
     r3_parser.add_argument("--y", type=float, required=True)
     _add_truncation_flags(r3_parser)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from star_spectra import Truncation, build_graph, f_components, solve_spectrum
-from star_spectra.cli import UsageError, _parse_range, main
+from star_spectra.cli import main
 
 TINY = ("--j-max", "2", "--m-max", "4")  # keeps the block series empty
 
@@ -350,6 +350,15 @@ def test_compare_refuses_to_overwrite_its_input(tmp_path, r2_run, capsys):
     assert "refusing to overwrite" in capsys.readouterr().err
 
 
+def test_compare_rejects_a_short_row(tmp_path, r2_run, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text(r2_run.read_text() + "1.0\n")
+    Path(str(data) + ".manifest.json").write_text(Path(str(r2_run) + ".manifest.json").read_text())
+    code = main(["compare", "--input", str(data), "--out", str(tmp_path / "c.csv"), *TINY])
+    assert code == 1
+    assert "too few cells" in capsys.readouterr().err
+
+
 def test_compare_rejects_wrong_columns(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("a,b\n1,2\n")
@@ -424,25 +433,23 @@ def test_nonfinite_values_exit_two(tmp_path, capsys):
     assert "nan" not in capsys.readouterr().out
 
 
-def test_overflowing_range_is_a_usage_error():
-    with pytest.raises(UsageError, match="grid points"):
-        _parse_range("0:1e300:1e-300")
+ENSEMBLE = ("--v", "8", "--realizations", "1", "--lambda-max", "30")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30", "--x-grid", "0:1e9:1e-9"],
+        ["empirical", "r2", *ENSEMBLE, "--x-grid", "0:1e300:1e-300"],
+        ["empirical", "r2", *ENSEMBLE, "--x-grid", "0:1e9:1e-9"],
         ["expansion-table", "--step", "1e-12", "--tau-max", "0.06"],
         ["analytic", "f", "--step", "1e-300"],
-        # each axis fits, but the square or the (x, y) product does not
-        ["analytic", "f", "--tau-max", "1", "--step", "0.001"],
-        [
-            "empirical", "r3", "--v", "8", "--realizations", "1", "--lambda-max", "30",
-            "--x-grid", "0:400:0.01", "--y-grid", "0:400:0.01",
-        ],
+        # each axis fits, but the 8e14-byte square or 2e14-byte (x, y) product does not
+        ["analytic", "f", "--tau-max", "1", "--step", "1e-7"],
+        ["empirical", "r3", *ENSEMBLE, "--x-grid", "0:5e6:1", "--y-grid", "0:5e6:1"],
     ],
-    ids=["r2-x-grid", "expansion-table", "analytic-f", "analytic-f-square", "r3-product"],
+    ids=[
+        "r2-overflow", "r2-x-grid", "expansion-table", "analytic-f", "analytic-f-square", "r3-product"
+    ],
 )
 def test_grid_over_the_point_cap_exits_two(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
