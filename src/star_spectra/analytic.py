@@ -35,7 +35,7 @@ bitwise independent of the thread count.  The threads end with the build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -75,7 +75,9 @@ class Truncation:
                    the F3/F4 series
     m_max       -- cutoff of each multi-index component (t, t', t'', s) and of
                    the power sum M in K; the two-variable series additionally
-                   keep only total polynomial degree <= 2*m_max
+                   keep only total polynomial degree <= 2*m_max;
+                   `k_formfactor` takes both as given, R2 and R3 as floors
+                   for K (see `_k_truncation`)
     quad_points -- Gauss-Legendre points per axis: up to 16 form one panel,
                    larger counts must be multiples of 16 (composite panels
                    of 16), so the rule and its 2n-point refinement have
@@ -238,6 +240,11 @@ def _k_poly(trunc: Truncation) -> np.ndarray:
 _K_UPPER = 0.5
 
 
+def _k_truncation(trunc: Truncation) -> Truncation:
+    """K's cutoffs in R2 and R3, at least (12, 60): K(1/2) = 0.535 there, 230 at (6, 8)."""
+    return replace(trunc, j_max=max(12, trunc.j_max), m_max=max(60, trunc.m_max))
+
+
 def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
     """Two-point form factor K(tau), truncated at (j_max, m_max).
 
@@ -283,8 +290,9 @@ def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
     R2(x) = 1 + 2 * integral_0^(1/2) K(tau) cos(2 pi x tau) dtau.  The window
     is the form-factor series' validity domain (_K_UPPER), so this transform
     is an approximation controlled by the window, not only by the truncation;
-    it is even in x by construction.  Accepts a scalar x (returns a float) or
-    an array (returns an array of its shape).
+    it is even in x by construction.  Array-first: a scalar x returns a
+    float, an array returns an array of its shape, each element with the bits
+    of the scalar call.  K is evaluated at `_k_truncation(trunc)`.
     `kernel` replaces K for surrogate checks (e.g. the zero kernel gives the
     Poisson answer R2 = 1 identically); it is called once, on the nodes.
     """
@@ -292,7 +300,10 @@ def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     nodes, weights = _gl_panels(trunc.quad_points, 0.0, _K_UPPER)
-    kv = k_formfactor(nodes, trunc) if kernel is None else np.asarray(kernel(nodes), dtype=float)
+    if kernel is None:
+        kv = k_formfactor(nodes, _k_truncation(trunc))
+    else:
+        kv = np.asarray(kernel(nodes), dtype=float)
     # associated as (2 pi x) * tau, so an array x gives each element the bits
     # of the scalar call
     phases = np.multiply.outer(2.0 * np.pi * xs, nodes)
@@ -946,16 +957,6 @@ def dirichlet_moment(exponents, tau: float) -> float:
     return float(scale) * tau ** (m + j - 1)
 
 
-def _three_cosines(x: float, y: float, taus: np.ndarray, tau_ps: np.ndarray) -> np.ndarray:
-    tt, pp = np.meshgrid(taus, tau_ps, indexing="ij")
-    two_pi = 2.0 * np.pi
-    return (
-        np.cos(two_pi * (y * tt + (y - x) * pp))
-        + np.cos(two_pi * (y * pp - x * (tt + pp)))
-        + np.cos(two_pi * (y * tt + x * pp))
-    )
-
-
 @lru_cache(maxsize=None)
 def _f12_table(trunc: Truncation):
     """(nodes, weights, F1+F2 values) over [0, tau_cutoff]^2 quadrature grid."""
@@ -1000,48 +1001,61 @@ def _f34_table(trunc: Truncation):
     return nodes, weights, values
 
 
-def r3_connected(
-    x: float,
-    y: float,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-    f12=None,
-    f34=None,
-) -> float:
+def _finite_pairs(x, y) -> tuple:
+    """x and y as float arrays broadcast to one shape, all finite."""
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("x and y must be finite")
+    return xs, ys
+
+
+def _cosine_transform(xs, ys, nodes, weights, table) -> np.ndarray:
+    """The three cosine terms of the weighted double integral against `table`.
+
+    With E_a = w * e^{2pi i a tau}, each term is Re(E_a F E_b^T) for (a, b) in
+    {(y, y - x), (-x, y - x), (y, x)}: one P x n by n x n product for P points.
+    """
+    def phases(a):
+        return weights * np.exp(2j * np.pi * np.multiply.outer(a.ravel(), nodes))
+
+    total = np.zeros(xs.size)
+    for a, b in ((ys, ys - xs), (-xs, ys - xs), (ys, xs)):
+        total += np.sum((phases(a) @ table) * phases(b), axis=1).real
+    return total.reshape(xs.shape)
+
+
+def r3_connected(x, y, trunc: Truncation = DEFAULT_TRUNCATION, f12=None, f34=None):
     """Connected part of R3: double cosine transform of the kernel F.
 
     integral over (tau, tau') of [cos(2pi(y tau + (y-x) tau')) +
     cos(2pi(y tau' - x(tau+tau'))) + cos(2pi(y tau + x tau'))] * F(tau, tau').
 
     F1+F2 are integrated over [0, tau_cutoff]^2; the F3+F4 series over their
-    validity square (see _f34_table).  `f12` / `f34` replace the cached kernel
-    tables for surrogate checks; each maps (taus, tau_ps) to a value matrix.
+    validity square (see _f34_table).  Array-first: scalar (x, y) return a
+    float, broadcastable arrays an array of their broadcast shape.  `f12` /
+    `f34` replace the cached kernel tables for surrogate checks; each maps
+    (taus, tau_ps) to a value matrix.
     """
-    nodes_a, w_a, table_a = _f12_table(trunc)
-    if f12 is not None:
-        table_a = np.asarray(f12(nodes_a, nodes_a), dtype=float)
-    total = float(np.einsum("i,j,ij->", w_a, w_a, _three_cosines(x, y, nodes_a, nodes_a) * table_a))
-    nodes_b, w_b, table_b = _f34_table(trunc)
-    if f34 is not None:
-        table_b = np.asarray(f34(nodes_b, nodes_b), dtype=float)
-    total += float(np.einsum("i,j,ij->", w_b, w_b, _three_cosines(x, y, nodes_b, nodes_b) * table_b))
-    return total
+    xs, ys = _finite_pairs(x, y)
+    total = np.zeros(xs.shape)
+    for table_fn, hook in ((_f12_table, f12), (_f34_table, f34)):
+        nodes, weights, table = table_fn(trunc)
+        if hook is not None:
+            table = np.asarray(hook(nodes, nodes), dtype=float)
+        total += _cosine_transform(xs, ys, nodes, weights, table)
+    return float(total) if total.ndim == 0 else total
 
 
-def r3_full(
-    x: float,
-    y: float,
-    trunc: Truncation = DEFAULT_TRUNCATION,
-    kernel=None,
-    f12=None,
-    f34=None,
-) -> float:
+def r3_full(x, y, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None, f12=None, f34=None):
     """Full three-point correlation R3(x, y).
 
-    Assembled as R2(x) + R2(y) + R2(x - y) - 2 + connected part.  The
-    surrogate hooks propagate to the building blocks (all-zero kernels give
-    the Poisson answer 1 for every (x, y)).
+    Assembled as R2(x) + R2(y) + R2(x - y) - 2 + connected part, with K at
+    `_k_truncation(trunc)` in the R2 terms.  Array-first: scalar (x, y)
+    return a float, broadcastable arrays an array of their broadcast shape.
+    The surrogate hooks propagate to the building blocks (all-zero kernels
+    give the Poisson answer 1 for every (x, y)).
     """
-    if not np.isfinite(x) or not np.isfinite(y):
-        raise ValueError("x and y must be finite")
-    r2_x, r2_y, r2_xy = r2_analytic(np.array([x, y, x - y]), trunc, kernel=kernel)
-    return float(r2_x + r2_y + r2_xy - 2.0 + r3_connected(x, y, trunc, f12=f12, f34=f34))
+    xs, ys = _finite_pairs(x, y)
+    r2_x, r2_y, r2_xy = r2_analytic(np.stack([xs, ys, xs - ys]), trunc, kernel=kernel)
+    values = r2_x + r2_y + r2_xy - 2.0 + r3_connected(xs, ys, trunc, f12=f12, f34=f34)
+    return float(values) if values.ndim == 0 else values

@@ -19,8 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
-from functools import partial
+from dataclasses import asdict
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -32,6 +31,7 @@ from .analytic import (
     DEFAULT_TRUNCATION,
     QuadratureError,
     Truncation,
+    _k_truncation,
     f_components,
     f_expansion,
     k_formfactor,
@@ -44,29 +44,20 @@ from .orbits import OrbitClass, q_bruteforce, q_formula
 from .spectrum import solve_spectrum
 from .trace import density_from_orbits, density_from_spectrum
 
-# K truncation used by `compare` for the two-point transform: the form-factor
-# series needs far more block terms than the three-point kernel can afford
-# (and the block-count row only stabilizes once m_max is roughly five times
-# j_max), so the comparison report evaluates K with its own converged cutoffs
-# and records both truncations in the manifest.
-_K_CONVERGED = {"j_max": 12, "m_max": 60}
-
 # Estimator name -> (CSV coordinate columns, ensemble estimator, closed form).
-# Each coordinate c has its own --c-grid flag; the closed form maps the CSV
-# points, a truncation and a K kernel to the analytic values.
+# Each coordinate c has its own --c-grid flag; the closed form takes one array
+# per coordinate and a truncation.
 _ESTIMATORS = {
-    "r2": (
-        ("x",),
-        estimate_r2,
-        lambda points, trunc, kernel: r2_analytic(
-            [x for x, in points], trunc, kernel=kernel
-        ).tolist(),
-    ),
-    "r3": (
-        ("x", "y"),
-        estimate_r3,
-        lambda points, trunc, kernel: [r3_full(x, y, trunc, kernel=kernel) for x, y in points],
-    ),
+    "r2": (("x",), estimate_r2, r2_analytic),
+    "r3": (("x", "y"), estimate_r3, r3_full),
+}
+
+# `analytic` point evaluations: name -> (coordinate flags, evaluator, help).
+# The evaluator takes one value per flag and a truncation.
+_POINT_EVALUATORS = {
+    "k": (("tau",), k_formfactor, "form factor K at one tau"),
+    "r2": (("x",), r2_analytic, "two-point correlation at one x"),
+    "r3": (("x", "y"), r3_full, "full three-point correlation at one (x, y)"),
 }
 
 # Most cells a grid may hold: physical memory in 8-byte floats.  Every command
@@ -253,6 +244,8 @@ def _kernel_table(args):
 def _cmd_gen(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     save_graph(build_graph(args.v, args.seed), args.out)
     return {"v": args.v, "seed": args.seed}
 
@@ -301,6 +294,8 @@ def _cmd_orbits_q(args):
 def _cmd_trace_check(args):
     if args.v < 1:
         raise UsageError("--v must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     _require_finite(args, "sigma", "step", "lambda_min", "lambda_max")
     if args.sigma <= 0:
         raise UsageError("--sigma must be positive")
@@ -330,21 +325,10 @@ def _cmd_analytic_f(args):
     return echo
 
 
-def _cmd_analytic_k(args):
-    _require_finite(args, "tau")
-    print(_fmt(k_formfactor(args.tau, _truncation_from(args))))
-    return 0
-
-
-def _cmd_analytic_r2(args):
-    _require_finite(args, "x")
-    print(_fmt(r2_analytic(args.x, _truncation_from(args))))
-    return 0
-
-
-def _cmd_analytic_r3(args):
-    _require_finite(args, "x", "y")
-    print(_fmt(r3_full(args.x, args.y, _truncation_from(args))))
+def _cmd_analytic_point(args):
+    coords, evaluate, _ = _POINT_EVALUATORS[args.analytic_command]
+    _require_finite(args, *coords)
+    print(_fmt(evaluate(*(getattr(args, c) for c in coords), _truncation_from(args))))
     return 0
 
 
@@ -395,13 +379,7 @@ def _cmd_compare(args):
             raise ValidationFailure(f"refusing to overwrite input file {target}")
     coords, _, closed_form = _ESTIMATORS[estimator]
     rows_in = _read_csv_rows(input_path, coords)
-    k_trunc = replace(
-        trunc,
-        j_max=max(_K_CONVERGED["j_max"], trunc.j_max),
-        m_max=max(_K_CONVERGED["m_max"], trunc.m_max),
-    )
-    kernel = partial(k_formfactor, trunc=k_trunc)
-    analytic = closed_form([point for point, _, _ in rows_in], trunc, kernel)
+    analytic = closed_form(*np.array([point for point, _, _ in rows_in]).T, trunc)
     rows = []
     for (point, estimate, stderr), value in zip(rows_in, analytic):
         deviation = abs(estimate - value)
@@ -413,7 +391,7 @@ def _cmd_compare(args):
         "estimator": estimator,
         "ensemble": ensemble,
         "truncation": asdict(trunc),
-        "k_truncation": asdict(k_trunc),
+        "k_truncation": asdict(_k_truncation(trunc)),
         "input": str(input_path),
     }
 
@@ -500,21 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_truncation_flags(f_parser)
     f_parser.set_defaults(handler=_cmd_analytic_f)
 
-    k_parser = analytic_sub.add_parser("k", help="form factor K at one tau")
-    k_parser.add_argument("--tau", type=float, required=True)
-    _add_truncation_flags(k_parser)
-    k_parser.set_defaults(handler=_cmd_analytic_k)
-
-    r2_parser = analytic_sub.add_parser("r2", help="two-point correlation at one x")
-    r2_parser.add_argument("--x", type=float, required=True)
-    _add_truncation_flags(r2_parser)
-    r2_parser.set_defaults(handler=_cmd_analytic_r2)
-
-    r3_parser = analytic_sub.add_parser("r3", help="full three-point correlation at one (x, y)")
-    r3_parser.add_argument("--x", type=float, required=True)
-    r3_parser.add_argument("--y", type=float, required=True)
-    _add_truncation_flags(r3_parser)
-    r3_parser.set_defaults(handler=_cmd_analytic_r3)
+    for name, (coords, _, help_text) in _POINT_EVALUATORS.items():
+        a = analytic_sub.add_parser(name, help=help_text)
+        for c in coords:
+            a.add_argument(f"--{c}", type=float, required=True)
+        _add_truncation_flags(a)
+        a.set_defaults(handler=_cmd_analytic_point)
 
     p = sub.add_parser(
         "expansion-table",

@@ -74,6 +74,8 @@ class EnsembleConfig:
             raise ValueError("need at least one outer vertex")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.lambda_max < np.inf:
             raise ValueError("lambda_max must be positive and finite")
         if not 0 < self.kernel_width < np.inf:

@@ -46,6 +46,8 @@ def build_graph(v: int, seed: int) -> StarGraph:
     """Draw a star graph with v edges, lengths uniform on [1-1/(2v), 1+1/(2v)]."""
     if v < 1:
         raise ValueError(f"need at least one edge, got v={v}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     lo = 1.0 - 1.0 / (2 * v)
     lengths = lo + rng.random(v) * (1.0 / v)
@@ -78,6 +80,7 @@ def save_graph(graph: StarGraph, path) -> None:
 
 
 def load_graph(path) -> StarGraph:
+    """Read a graph saved by `save_graph`; every edge length must be finite and positive."""
     with open(path) as fh:
         payload = json.load(fh)
     graph = StarGraph(
@@ -87,4 +90,7 @@ def load_graph(path) -> StarGraph:
     )
     if len(graph.lengths) != graph.v:
         raise ValueError("length list does not match v")
+    for edge, length in enumerate(graph.lengths):
+        if not 0 < length < np.inf:
+            raise ValueError(f"edge {edge} has length {length}; lengths must be finite and positive")
     return graph

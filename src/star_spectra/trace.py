@@ -43,8 +43,15 @@ def _row_chunks(rows: int, grid: np.ndarray):
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
+def _require_width(sigma: float) -> None:
+    """The smoothing width of both densities must be finite and positive."""
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
 def density_from_spectrum(spectrum: Spectrum, grid, sigma: float) -> SmoothedDensity:
     """Sum of unit-mass Gaussians of width sigma centered at the eigenvalues."""
+    _require_width(sigma)
     grid = np.asarray(grid, dtype=float)
     values = np.zeros_like(grid)
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
@@ -65,6 +72,7 @@ def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> Smo
     v^k_max / k_max; the _MAX_WORDS budget guards against runaway requests.
     k_max=0 returns the bare Weyl density L/(2*pi).
     """
+    _require_width(sigma)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > 0 and graph.v**k_max > _MAX_WORDS:

@@ -40,6 +40,8 @@ from star_spectra.analytic import (
     _f3_edge_tensor,
     _f4_block_matrix,
     _f4_poly,
+    _f12_table,
+    _f34_table,
     _gl_panels,
     _k_poly,
 )
@@ -283,9 +285,11 @@ def test_r2_kernel_scaling_is_linear():
 
 def test_r2_with_converged_kernel_is_nonnegative():
     # the (12, 60) form factor converges up to tau = 1/2, so R2 stays a
-    # density; the default (6, 8) one does not (R2(1) = -12.47)
-    values = r2_analytic(np.linspace(0.0, 3.0, 61), Truncation(j_max=12, m_max=60))
-    assert values.min() >= 0.0
+    # density; the default (6, 8) one does not (R2(1) = -12.47), so R2 takes
+    # K at no less than (12, 60) from any truncation
+    for trunc in (Truncation(j_max=12, m_max=60), DEFAULT_TRUNCATION):
+        values = r2_analytic(np.linspace(0.0, 3.0, 61), trunc)
+        assert values.min() >= 0.0
 
 
 def test_r2_is_even_in_the_gap():
@@ -610,6 +614,43 @@ def test_r3_connected_pinned_values():
     assert r3_connected(0.5, 1.0) == pytest.approx(-0.267997534511, abs=2e-9)
     assert r3_connected(1.0, 2.0) == pytest.approx(-0.009909379941, abs=2e-9)
     assert r3_connected(0.25, 0.5) == pytest.approx(-0.290643502908, abs=2e-9)
+
+
+def test_r3_full_takes_arrays():
+    trunc = Truncation(j_max=3, m_max=4, quad_points=32)
+    rng = np.random.default_rng(8)
+    xs, ys = rng.uniform(-2.5, 2.5, (2, 4, 5))
+
+    def pointwise(a, b):
+        a, b = np.broadcast_arrays(a, b)
+        values = [r3_full(float(p), float(q), trunc) for p, q in zip(a.flat, b.flat)]
+        return np.reshape(values, a.shape)
+
+    for a, b in ((xs, ys), (xs[:, :1], ys[0]), (xs, 0.7), (0.3, ys[0])):
+        got = r3_full(a, b, trunc)
+        assert got.shape == np.broadcast(a, b).shape
+        assert np.max(np.abs(got - pointwise(a, b))) <= 1e-13
+    assert isinstance(r3_full(0.5, 1.0, trunc), float)
+    assert isinstance(r3_connected(0.5, 1.0, trunc), float)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x and y must be finite"):
+            r3_full(np.where(xs > 2.0, bad, xs), ys, trunc)
+
+
+def test_r3_connected_matches_the_direct_cosine_sum():
+    # reference: the three cosines summed over the quadrature grid one by one
+    trunc = Truncation(j_max=3, m_max=4, quad_points=32)
+    for x, y in ((0.5, 1.0), (-1.3, 0.4), (2.2, 2.9)):
+        want = 0.0
+        for nodes, weights, table in (_f12_table(trunc), _f34_table(trunc)):
+            tt, pp = np.meshgrid(nodes, nodes, indexing="ij")
+            cosines = (
+                np.cos(2 * np.pi * (y * tt + (y - x) * pp))
+                + np.cos(2 * np.pi * (y * pp - x * (tt + pp)))
+                + np.cos(2 * np.pi * (y * tt + x * pp))
+            )
+            want += float(np.sum(np.outer(weights, weights) * cosines * table))
+        assert r3_connected(x, y, trunc) == pytest.approx(want, abs=1e-13)
 
 
 def test_r3_full_zero_kernels_give_poisson_product():

@@ -110,6 +110,28 @@ def test_missing_graph_file_is_a_validation_failure(tmp_path, capsys):
     assert "cannot read graph file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lengths", [[1.0, -1.0], [1.0, 0.0], [1.0, float("nan")]])
+def test_bad_edge_lengths_are_a_validation_failure(tmp_path, capsys, lengths):
+    graph = tmp_path / "bad.json"
+    graph.write_text(json.dumps({"v": 2, "seed": 0, "lengths": lengths}))
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--graph", str(graph), "--lambda-max", "10", "--out", str(out)]) == 1
+    assert "cannot read graph file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "r.csv")]
+    for argv in (
+        ["gen", "--v", "3"],
+        ["trace-check", "--v", "3", "--kmax", "2", "--lambda-max", "10"],
+        ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30"],
+    ):
+        assert main([*argv, "--seed", "-1", *out]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ------------------------------------------------------------------- orbits --
 
 
@@ -190,6 +212,11 @@ def test_analytic_k_domain_error_exits_one(capsys):
 def test_analytic_r2_prints_value(capsys):
     assert main(["analytic", "r2", "--x", "0.5", *TINY]) == 0
     float(capsys.readouterr().out.strip())
+
+
+def test_analytic_r2_is_a_density_at_the_defaults(capsys):
+    assert main(["analytic", "r2", "--x", "1.0"]) == 0
+    assert 0.0 < float(capsys.readouterr().out.strip()) < 2.0
 
 
 def test_analytic_f_grid_csv(tmp_path):

@@ -278,6 +278,7 @@ def test_ensemble_config_validation():
         {"kernel_width": -0.1},
         {"kernel_width": float("inf")},
         {"kernel_width": float("nan")},
+        {"seed": -1},
     ):
         with pytest.raises(ValueError):
             EnsembleConfig(**{**good, **patch})

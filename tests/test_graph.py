@@ -79,6 +79,19 @@ def test_inconsistent_graph_file_rejected(tmp_path):
         load_graph(path)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        build_graph(3, seed=-1)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+def test_graph_file_with_a_bad_length_rejected(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"v": 3, "seed": 0, "lengths": [1.0, bad, 1.0]}))
+    with pytest.raises(ValueError, match="edge 1"):
+        load_graph(path)
+
+
 def test_graph_is_immutable():
     graph = StarGraph(v=1, lengths=(1.0,), seed=0)
     with pytest.raises(AttributeError):

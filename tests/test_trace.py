@@ -73,6 +73,17 @@ def test_zero_orbits_gives_bare_weyl_term():
     assert np.all(density.values == graph.total_length / (2.0 * np.pi))
 
 
+def test_smoothing_width_must_be_finite_and_positive():
+    graph = build_graph(3, seed=2)
+    spectrum = solve_spectrum(graph, 12.0)
+    grid = np.linspace(5.0, 10.0, 5)
+    for sigma in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            density_from_spectrum(spectrum, grid, sigma)
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            density_from_orbits(graph, grid, sigma, k_max=2)
+
+
 def test_orbit_budget_guard():
     graph = build_graph(5, seed=1)
     grid = np.linspace(5.0, 10.0, 5)
