@@ -12,7 +12,9 @@ the scattering amplitude and the weighted orbit count
     Q_n^m = sum over orbits in the class of 1/r,
 
 computed here two independent ways -- exhaustive enumeration and the closed
-combinatorial formula -- in exact rational arithmetic.
+combinatorial formula -- in exact rational arithmetic.  `class_weight` turns
+them into the trace formula's weights; `necklaces` lists every cyclic word,
+the word-by-word oracle the tests hold that class sum against.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "enumerate_class",
     "q_bruteforce",
     "q_formula",
+    "class_weight",
     "partitions",
     "necklaces",
 ]
@@ -206,6 +209,30 @@ def q_formula(cls: OrbitClass) -> Fraction:
     return prefactor * (-1) ** cls.transmissions * total
 
 
+@lru_cache(maxsize=4096)
+def class_weight(counts: tuple, v: int) -> float:
+    """Trace-formula weight W(n) of all orbits with visit counts n.
+
+    W(n) = sum_{1 <= m_i <= n_i} Q_n^m (-1+2/v)^(k-M) (2/v)^M, k = sum n_i,
+    M = sum m_i: an orbit's amplitude depends only on its M transmissions.
+    A single edge is the k-fold repeat of one excursion: W = (-1+2/v)^k / k.
+    Summed in exact rationals and rounded once.  Q is symmetric in the
+    edges, so callers pass n sorted, one cache entry per class.
+    """
+    if not counts or min(counts) < 1 or v < 1:
+        raise ValueError(f"need positive visit counts and alphabet, got {counts}, v={v}")
+    k = sum(counts)
+    back, trans = Fraction(2 - v, v), Fraction(2, v)
+    if len(counts) == 1:
+        return float(back**k / k)
+    total = Fraction(0)
+    for m in product(*(range(1, ni + 1) for ni in counts)):
+        big_m = sum(m)
+        q = q_formula(OrbitClass(len(counts), counts, m))
+        total += q * back ** (k - big_m) * trans**big_m
+    return float(total)
+
+
 def partitions(big_n: int, big_k: int) -> int:
     """Number of ordered partitions of big_n into big_k positive parts."""
     if big_k < 1 or big_n < 1:
@@ -219,27 +246,25 @@ def partitions(big_n: int, big_k: int) -> int:
 def necklaces(k: int, v: int) -> tuple:
     """All length-k necklaces over {0..v-1} with repetition numbers.
 
-    Fredricksen-Kessler-Maiorana generation: returns ((word, r), ...) where
-    word is the lexicographically minimal rotation (tuple of ints) and r its
-    repetition number.  Periodic necklaces are included, so summing 1/r over
-    the result weights orbits exactly as the trace formula requires.
+    Fredricksen-Kessler-Maiorana generation in its loop form: returns
+    ((word, r), ...) in lexicographic order, where word is the minimal
+    rotation (tuple of ints) and r its repetition number.  Periodic
+    necklaces are included, so summing 1/r over the result weights orbits
+    exactly as the trace formula requires.
     """
     if k < 1 or v < 1:
         raise ValueError("need positive word length and alphabet")
-    a = [0] * (k + 1)
-    out = []
-
-    def gen(t, p):
-        if t > k:
-            if k % p == 0:
-                word = tuple(a[1 : k + 1])
-                out.append((word, k // p))
-        else:
-            a[t] = a[t - p]
-            gen(t + 1, p)
-            for c in range(a[t - p] + 1, v):
-                a[t] = c
-                gen(t + 1, t)
-
-    gen(1, 1)
-    return tuple(out)
+    a = [0] * (k + 1)  # a[1..k] is the current prenecklace
+    out = [(tuple(a[1:]), k)]
+    while True:
+        i = k
+        while i > 0 and a[i] == v - 1:
+            i -= 1
+        if i == 0:
+            return tuple(out)
+        # next prenecklace: raise position i, repeat the prefix of period i
+        a[i] += 1
+        for t in range(i + 1, k + 1):
+            a[t] = a[t - i]
+        if k % i == 0:
+            out.append((tuple(a[1:]), k // i))

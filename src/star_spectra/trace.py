@@ -7,25 +7,30 @@ L/(2*pi) plus one oscillatory term per periodic orbit:
 
 where p runs over cyclic words (all repetitions included), l_p = 2 * sum of
 visited edge lengths, r_p is the repetition number and A_p the product of
-center amplitudes.  Both sides are compared after Gaussian smoothing in
-lambda: smoothing the delta comb gives unit-mass Gaussians at the
-eigenvalues, smoothing the orbit sum multiplies each cosine by
+center amplitudes.  An orbit's length depends only on its visit counts n
+(n_e excursions into edge e) and its amplitude only on its block count, so
+the orbits of one n collapse into a single term l(n) W(n) cos(lambda l(n)),
+with W(n) = `orbits.class_weight`.  Both sides are compared after Gaussian
+smoothing in lambda: smoothing the delta comb gives unit-mass Gaussians at
+the eigenvalues, smoothing the orbit sum multiplies each cosine by
 exp(-sigma^2 l_p^2 / 2) while leaving the Weyl term alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .graph import StarGraph
-from .orbits import amplitude, necklaces
+from .orbits import class_weight
 from .spectrum import Spectrum
 
 __all__ = ["SmoothedDensity", "density_from_orbits", "density_from_spectrum"]
 
-# density_from_orbits refuses requests of more than this many words v^k_max
+# density_from_orbits refuses requests of more than this many words v^k_max;
+# the class sum needs far fewer terms, but this stays the request bound
 _MAX_WORDS = 10**7
 
 
@@ -64,15 +69,38 @@ def density_from_spectrum(spectrum: Spectrum, grid, sigma: float) -> SmoothedDen
     return SmoothedDensity(grid=grid, values=values, sigma=float(sigma), max_period=0)
 
 
+def _class_terms(graph: StarGraph, k_max: int):
+    """Lengths l(n) and coefficients l(n) W(n) of every class up to k_max.
+
+    One term per visit-count vector n, that is per subset of j edges and
+    positive composition of k <= k_max over it: sum_k sum_j C(v, j) C(k-1, j-1).
+    """
+    l = graph.lengths_array()
+    lengths, coefs = [np.empty(0)], [np.empty(0)]
+    for j in range(1, min(graph.v, k_max) + 1):
+        subsets = l[np.array(list(combinations(range(graph.v), j)))]
+        for k in range(j, k_max + 1):
+            # one edge needs no cuts, and combinations would still copy range(1, k)
+            cut_points = range(1, k) if j > 1 else ()
+            counts = np.diff([(0, *cuts, k) for cuts in combinations(cut_points, j - 1)])
+            weights = np.array([class_weight(tuple(sorted(n)), graph.v) for n in counts.tolist()])
+            lp = 2.0 * counts @ subsets.T
+            lengths.append(lp.ravel())
+            coefs.append((lp * weights[:, None]).ravel())
+    return np.concatenate(lengths), np.concatenate(coefs)
+
+
 def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> SmoothedDensity:
     """Weyl term plus the Gaussian-smoothed orbit sum up to half-period k_max.
 
-    Orbits are enumerated as canonical cyclic words of each length k <= k_max
-    (repetitions included, weighted 1/r_p), so the word count grows like
-    v^k_max / k_max; the _MAX_WORDS budget guards against runaway requests.
-    k_max=0 returns the bare Weyl density L/(2*pi).
+    One cosine per visit-count class (edge subset and composition of k),
+    weighted by its exact class weight; the tests hold it against the
+    word-by-word necklace sum.  _MAX_WORDS still bounds the request by the
+    v^k_max words it stands for.  k_max=0 returns the bare Weyl density.
     """
     _require_width(sigma)
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if k_max > 0 and graph.v**k_max > _MAX_WORDS:
@@ -82,18 +110,10 @@ def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> Smo
         )
     grid = np.asarray(grid, dtype=float)
     values = np.full_like(grid, graph.total_length / (2.0 * np.pi))
-    l = graph.lengths_array()
-    for k in range(1, k_max + 1):
-        words = necklaces(k, graph.v)
-        lengths = np.empty(len(words))
-        coefs = np.empty(len(words))
-        for idx, (word, r) in enumerate(words):
-            lp = 2.0 * float(l[list(word)].sum())
-            lengths[idx] = lp
-            coefs[idx] = (lp / r) * amplitude(word, graph.v)
-        weights = coefs * np.exp(-0.5 * (sigma * lengths) ** 2)
-        for rows in _row_chunks(len(words), grid):
-            values += weights[rows] @ np.cos(np.multiply.outer(lengths[rows], grid)) / np.pi
+    lengths, coefs = _class_terms(graph, k_max)
+    weights = coefs * np.exp(-0.5 * (sigma * lengths) ** 2)
+    for rows in _row_chunks(len(lengths), grid):
+        values += weights[rows] @ np.cos(np.multiply.outer(lengths[rows], grid)) / np.pi
     return SmoothedDensity(
         grid=grid, values=values, sigma=float(sigma), max_period=2 * k_max
     )

@@ -195,6 +195,16 @@ def test_trace_check_stops_at_lambda_max(tmp_path):
     assert lambdas[-1] <= 50.03
 
 
+def test_trace_check_takes_deep_single_edge_orbits(tmp_path):
+    # v=1 always passes the v^k budget; k_max=1500 must not exhaust the stack
+    out = tmp_path / "density.csv"
+    argv = ["trace-check", "--v", "1", "--kmax", "1500", "--lambda-max", "10"]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "lambda,orbit_density,spectral_density"
+    assert len(lines) == 1 + 101  # 5..10 at the default step 0.05
+
+
 # ----------------------------------------------------------------- analytic --
 
 

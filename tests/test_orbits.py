@@ -8,6 +8,7 @@ import pytest
 from star_spectra import (
     OrbitClass,
     amplitude,
+    class_weight,
     classify,
     enumerate_class,
     necklaces,
@@ -196,6 +197,28 @@ def test_necklace_census_matches_burnside_and_word_total():
             for word, r in entries:
                 assert repetition_number(word) == r
                 assert min(tuple(word[i:] + word[:i]) for i in range(k)) == tuple(word)
+
+
+def test_necklaces_have_no_depth_limit():
+    assert necklaces(1200, 1) == (((0,) * 1200, 1200),)
+
+
+def test_class_weight_sums_the_orbits_of_one_visit_vector():
+    # Every necklace with visit counts n contributes A_p / r_p; the class
+    # weight must equal their sum, whichever edges carry the counts.
+    for v in (1, 2, 3, 4):
+        for k in range(1, 8):
+            sums = {}
+            for word, r in necklaces(k, v):
+                counts = tuple(word.count(e) for e in range(v))
+                sums[counts] = sums.get(counts, 0.0) + amplitude(word, v) / r
+            for counts, total in sums.items():
+                visited = tuple(sorted(c for c in counts if c))
+                assert class_weight(visited, v) == pytest.approx(total, rel=1e-13, abs=1e-15)
+    with pytest.raises(ValueError):
+        class_weight((2, 0), 3)
+    with pytest.raises(ValueError):
+        class_weight((), 3)
 
 
 def test_necklaces_validate_arguments():

@@ -1,19 +1,42 @@
 """Smoothed spectral density: orbit-sum route against the exact-spectrum route."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from star_spectra import (
     StarGraph,
+    amplitude,
     build_graph,
     density_from_orbits,
     density_from_spectrum,
+    necklaces,
+    repetition_number,
     solve_spectrum,
 )
+from star_spectra.trace import _class_terms
 
 
 def _rel_l2(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _necklace_density(graph, grid, sigma, k_max):
+    """The trace formula summed word by word over every necklace.
+
+    The oracle for the class engine: each orbit's own length, amplitude and
+    repetition number, with no orbit count from the closed formula.
+    """
+    l = graph.lengths_array()
+    values = np.full_like(grid, graph.total_length / (2.0 * np.pi))
+    for k in range(1, k_max + 1):
+        words = [word for word, _ in necklaces(k, graph.v)]
+        lengths = np.array([2.0 * l[list(word)].sum() for word in words])
+        coefs = lengths * [amplitude(word, graph.v) / repetition_number(word) for word in words]
+        weights = coefs * np.exp(-0.5 * (sigma * lengths) ** 2)
+        values += weights @ np.cos(np.multiply.outer(lengths, grid)) / np.pi
+    return values
 
 
 def test_single_edge_orbit_sum_reproduces_exact_density():
@@ -84,6 +107,28 @@ def test_smoothing_width_must_be_finite_and_positive():
             density_from_orbits(graph, grid, sigma, k_max=2)
 
 
+def test_class_sum_matches_the_necklace_sum():
+    grid = np.arange(2.0, 40.0 + 1e-9, 0.1)
+    sigma = 0.1
+    for seed, (v, k_max) in enumerate([(1, 20), (2, 10), (3, 8), (4, 6), (5, 5)]):
+        graph = build_graph(v, seed=seed + 11)
+        oracle = _necklace_density(graph, grid, sigma, k_max)
+        values = density_from_orbits(graph, grid, sigma, k_max).values
+        assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle)), (v, k_max)
+
+
+def test_one_term_per_edge_subset_and_composition():
+    for v, k_max in [(1, 7), (3, 12), (4, 6), (5, 5)]:
+        lengths, coefs = _class_terms(build_graph(v, seed=v), k_max)
+        expect = sum(
+            comb(v, j) * comb(k - 1, j - 1)
+            for k in range(1, k_max + 1)
+            for j in range(1, min(v, k) + 1)
+        )
+        assert len(lengths) == len(coefs) == expect
+    assert len(_class_terms(build_graph(3, seed=7), 12)[0]) == 454
+
+
 def test_orbit_budget_guard():
     graph = build_graph(5, seed=1)
     grid = np.linspace(5.0, 10.0, 5)
@@ -91,3 +136,11 @@ def test_orbit_budget_guard():
         density_from_orbits(graph, grid, 0.1, k_max=12)
     with pytest.raises(ValueError):
         density_from_orbits(graph, grid, 0.1, k_max=-1)
+
+
+def test_orbit_cutoff_must_be_an_int():
+    graph = build_graph(3, seed=1)
+    grid = np.linspace(5.0, 10.0, 5)
+    for k_max in (4.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="k_max must be an int"):
+            density_from_orbits(graph, grid, 0.1, k_max=k_max)
