@@ -12,9 +12,10 @@ the scattering amplitude and the weighted orbit count
     Q_n^m = sum over orbits in the class of 1/r,
 
 computed here two independent ways -- exhaustive enumeration and the closed
-combinatorial formula -- in exact rational arithmetic.  `class_weight` turns
-them into the trace formula's weights; `necklaces` lists every cyclic word,
-the word-by-word oracle the tests hold that class sum against.
+combinatorial formula -- in exact rational arithmetic.  `class_weight` gives
+the trace formula's weight of each visit-count class, the formula's sum over
+block counts taken in closed form; `necklaces` lists every cyclic word, the
+word-by-word oracle the tests hold that class sum against.
 """
 
 from __future__ import annotations
@@ -213,24 +214,35 @@ def q_formula(cls: OrbitClass) -> Fraction:
 def class_weight(counts: tuple, v: int) -> float:
     """Trace-formula weight W(n) of all orbits with visit counts n.
 
-    W(n) = sum_{1 <= m_i <= n_i} Q_n^m (-1+2/v)^(k-M) (2/v)^M, k = sum n_i,
-    M = sum m_i: an orbit's amplitude depends only on its M transmissions.
-    A single edge is the k-fold repeat of one excursion: W = (-1+2/v)^k / k.
-    Summed in exact rationals and rounded once.  Q is symmetric in the
+    W(n) = sum_{1 <= m_i <= n_i} Q_n^m b^(k-M) c^M, k = sum n_i, M = sum m_i,
+    b = -1+2/v, c = 2/v: an orbit's amplitude depends only on its M
+    transmissions.  With binom(n-1, m-1) binom(m-1, t-1) =
+    binom(n-1, t-1) binom(n-t, m-t), the sum over m of q_formula's terms
+    closes by the binomial theorem, and b - c = -1 leaves
+
+        W(n) = (-1)^k sum_T (-c)^T (T-1)! [x^T] prod_i P_{n_i}(x),
+        P_n(x) = sum_{t=1..n} binom(n-1, t-1) x^t / t!.
+
+    A single edge is the k-fold repeat of one excursion: W = b^k / k.
+    Summed in exact rationals and rounded once.  W is symmetric in the
     edges, so callers pass n sorted, one cache entry per class.
     """
     if not counts or min(counts) < 1 or v < 1:
         raise ValueError(f"need positive visit counts and alphabet, got {counts}, v={v}")
     k = sum(counts)
-    back, trans = Fraction(2 - v, v), Fraction(2, v)
     if len(counts) == 1:
-        return float(back**k / k)
-    total = Fraction(0)
-    for m in product(*(range(1, ni + 1) for ni in counts)):
-        big_m = sum(m)
-        q = q_formula(OrbitClass(len(counts), counts, m))
-        total += q * back ** (k - big_m) * trans**big_m
-    return float(total)
+        return float(Fraction(2 - v, v) ** k / k)
+    poly = [Fraction(1)]  # coefficients of prod_i P_{n_i}(x), from x^0
+    for ni in counts:
+        factor = [Fraction(comb(ni - 1, t - 1), factorial(t)) for t in range(1, ni + 1)]
+        convolved = [Fraction(0)] * (len(poly) + ni)
+        for i, p in enumerate(poly):
+            for t, f in enumerate(factor, start=1):
+                convolved[i + t] += p * f
+        poly = convolved
+    minus_c = Fraction(-2, v)
+    total = sum(minus_c**t * factorial(t - 1) * poly[t] for t in range(1, k + 1))
+    return float((-1) ** k * total)
 
 
 def partitions(big_n: int, big_k: int) -> int:

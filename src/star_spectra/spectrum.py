@@ -26,7 +26,6 @@ underflows.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,18 +123,26 @@ def secular_real(graph: StarGraph, lams) -> np.ndarray:
     return np.imag(dets * np.exp(1j * lams * graph.total_length / 2.0))
 
 
-def _tan_sum(x: np.ndarray, l: np.ndarray, out: np.ndarray | None = None):
+def _tan_sum(x: np.ndarray, l: np.ndarray):
     """Value sum_i tan(x*l_i) and slope sum_i l_i/cos^2(x*l_i) for each x.
 
-    One tan per element: the slope is (1 + tan^2) @ l.  ``out``, if given, is
-    a (len(x), len(l)) work buffer that is overwritten.
+    One tan per element: the slope is (1 + tan^2) @ l.  The x are taken in
+    blocks of about 2^16 elements through one 512 KB work buffer, which stays
+    in cache and fits the heap's freed space.  One N x v buffer (10 MB at
+    v=100, lambda=400) is slower, and needs a fresh 10 MB hole every solve.
     """
-    t = np.multiply.outer(x, l, out=out)
-    np.tan(t, out=t)
-    value = t.sum(axis=1)
-    np.square(t, out=t)
-    t += 1.0
-    return value, t @ l
+    value, slope = np.empty(len(x)), np.empty(len(x))
+    step = max(1, 2**16 // len(l))
+    work = np.empty((min(step, len(x)), len(l)))
+    for start in range(0, len(x), step):
+        chunk = x[start : start + step]
+        t = np.multiply.outer(chunk, l, out=work[: len(chunk)])
+        np.tan(t, out=t)
+        value[start : start + step] = t.sum(axis=1)
+        np.square(t, out=t)
+        t += 1.0
+        slope[start : start + step] = t @ l
+    return value, slope
 
 
 def secular_tan(graph: StarGraph, lam: float) -> float:
@@ -164,19 +171,20 @@ def _pole_grid(graph: StarGraph, lambda_max: float) -> np.ndarray:
 def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     """All eigenvalues in (0, lambda_max], one per inter-pole interval.
 
-    sum_i tan(lam*l_i) is strictly increasing between consecutive poles
-    (derivative sum l_i/cos^2 > 0) and runs from -inf to +inf, so each
+    f(lam) = sum_i tan(lam*l_i) is strictly increasing between consecutive
+    poles (derivative sum l_i/cos^2 > 0) and runs from -inf to +inf, so each
     interval holds exactly one root; the interval (0, first pole) holds none.
-    Each interval is first shrunk from its poles to a bracket [lo, hi] with
-    f(lo) < 0 < f(hi).  Newton's method then runs from the bracket midpoint,
-    vectorized over the intervals not yet converged, with the safeguard of
-    Numerical Recipes' rtsafe: each evaluation narrows the bracket by the sign
-    of f, and a step that leaves the bracket or is more than half the step
-    before last is replaced by bisection.  An interval stops once its Newton
-    step is at most 2*eps*lambda; at v=100 that takes about 5 evaluations on
-    average.  lambda=0 and roots indistinguishable from a pole are excluded.
-    Raises SolverNotConverged if an interval is still open after 100
-    iterations.
+    The two poles are therefore the starting bracket [lo, hi] of their root.
+    Newton's method runs from the bracket midpoint, vectorized over the
+    intervals not yet converged, with the safeguard of Numerical Recipes'
+    rtsafe: each evaluation narrows the bracket by the sign of f, and a step
+    that leaves the bracket or is more than half the step before last is
+    replaced by bisection.  An interval stops once its Newton step is at most
+    2*eps*lambda; at v=100 that takes about 5 evaluations on average.  A
+    zero-width interval is two coincident poles of equal edge lengths, and
+    the pole itself is the eigenvalue, so m equal edges list that pole m-1
+    times.  lambda=0 is excluded.  Raises SolverNotConverged if an interval
+    is still open after 100 iterations.
     """
     if not 0 < lambda_max < np.inf:
         raise ValueError("lambda_max must be positive and finite")
@@ -186,53 +194,15 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     b = poles[1:]
     keep = a < lambda_max
     a, b = a[keep], b[keep]
-    width = b - a
-    ok = width > 1e-12
-    if not np.all(ok):
-        a, b, width = a[ok], b[ok], width[ok]
-
-    # the only N x v array of the solve; every evaluation writes its first rows
-    work = np.empty((len(a), len(l)))
-
-    def f(x):
-        return _tan_sum(x, l, work[: len(x)])
-
-    # Shrink offsets from each pole until the secular function shows the
-    # correct sign (-) at the left and (+) at the right endpoint; a root very
-    # close to a pole otherwise masquerades as a sign error.  Only the
-    # intervals still showing the wrong sign are evaluated again.
-    def shrink(pole, sign):
-        delta = width * 0.25
-        x = pole + sign * delta
-        fx = f(x)[0]
-        for _ in range(12):
-            bad = np.flatnonzero(sign * fx > 0)
-            if not bad.size:
-                break
-            delta[bad] /= 16.0
-            x[bad] = pole[bad] + sign * delta[bad]
-            fx[bad] = f(x[bad])[0]
-        return x, sign * fx > 0
-
-    lo, lo_wrong = shrink(a, 1.0)
-    hi, hi_wrong = shrink(b, -1.0)
-    failed = lo_wrong | hi_wrong
-    if failed.any():
-        warnings.warn(
-            f"{int(failed.sum())} inter-pole intervals kept a root closer than "
-            "the bracketing resolution to a pole; those roots were dropped",
-            RuntimeWarning,
-        )
-        lo, hi = lo[~failed], hi[~failed]
-
-    roots = np.empty(len(lo))
-    open_ = np.arange(len(lo))
+    open_ = np.flatnonzero(b > a)
+    lo, hi = a[open_], b[open_]
+    roots = a.copy()  # coincident poles keep the pole as their root
     x = 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     for _ in range(_MAX_NEWTON_ITERATIONS):
         if not open_.size:
             break
-        val, slope = f(x)
+        val, slope = _tan_sum(x, l)
         step = val / slope
         # the stop test comes before the bracket test: a sub-ulp step can land
         # on the bracket edge and would otherwise force a bisection

@@ -103,7 +103,11 @@ def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> Smo
         raise ValueError(f"k_max must be an int, got {k_max!r}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if k_max > 0 and graph.v**k_max > _MAX_WORDS:
+    # from k_max = the budget's bit length on, 2^k_max alone exceeds it, so a
+    # refusal there needs no v^k_max built
+    if graph.v > 1 and (
+        k_max >= _MAX_WORDS.bit_length() or graph.v**k_max > _MAX_WORDS
+    ):
         raise ValueError(
             f"orbit enumeration v^k_max = {graph.v}^{k_max} exceeds the "
             f"budget of {_MAX_WORDS} words"

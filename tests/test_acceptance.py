@@ -39,12 +39,6 @@ from star_spectra import (
     solve_spectrum,
 )
 
-# The form-factor series needs m_max to grow with j_max (roughly five to
-# one) before its value settles; these cutoffs hold K(tau) to ~2e-3 over
-# the whole integration range, which is far below the ensemble noise the
-# slow criterion compares against.
-KERNEL_TRUNC = Truncation(j_max=12, m_max=60)
-
 EXPANSION_GRID = [
     (0.01 * i, 0.01 * k) for i in range(6) for k in range(6) if i or k
 ]
@@ -279,12 +273,6 @@ def test_criterion_10_poisson_baselines(capsys):
     )
 
 
-def _converged_k(taus):
-    return np.array(
-        [k_formfactor(float(t), KERNEL_TRUNC) for t in np.atleast_1d(taus)]
-    )
-
-
 # The closed-form reference and the ensemble estimate disagree for two
 # measured, structural reasons that dwarf the Monte Carlo error bars:
 #
@@ -327,7 +315,7 @@ def test_criterion_11_ensemble_vs_analytic_r2(capsys):
     lines = []
     worst = 0.0
     for x, value, err in zip(estimate.grid, estimate.values, estimate.stderr):
-        reference = r2_analytic(x, kernel=_converged_k)
+        reference = r2_analytic(x)
         sigmas = abs(value - reference) / err
         worst = max(worst, sigmas)
         lines.append(
@@ -359,7 +347,7 @@ def test_criterion_11_ensemble_vs_analytic_r3(capsys):
     lines = []
     worst = 0.0
     for (x, y), value, err in zip(estimate.grid, estimate.values, estimate.stderr):
-        reference = r3_full(x, y, kernel=_converged_k)
+        reference = r3_full(x, y)
         sigmas = abs(value - reference) / err
         worst = max(worst, sigmas)
         lines.append(

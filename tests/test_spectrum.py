@@ -124,10 +124,20 @@ def test_det_polish_leaves_cross_validated_roots_in_place():
 
 
 def test_near_degenerate_lengths_count_matches_winding():
-    # four edges within 3e-9 of each other pack three roots per cluster
-    # between poles that are almost coincident
-    graph = StarGraph(v=5, lengths=(1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9, 1.3), seed=0)
-    assert len(solve_spectrum(graph, 60.0)) == det_root_count(graph, 60.0) == 101
+    """Four edges within 3*sep of each other pack three roots per cluster.
+
+    The poles between them are almost coincident, or coincide exactly at
+    sep=0.  The eigenvalues stay non-decreasing; with equal lengths each
+    cluster is the common pole itself, listed once per extra equal edge.
+    """
+    for sep in (1e-9, 1e-13, 0.0):
+        lengths = (1.0, 1.0 + sep, 1.0 + 2 * sep, 1.0 + 3 * sep, 1.3)
+        graph = StarGraph(v=5, lengths=lengths, seed=0)
+        eigs = solve_spectrum(graph, 60.0).eigenvalues
+        assert len(eigs) == det_root_count(graph, 60.0) == 101
+        assert np.all(np.diff(eigs) >= 0)
+    # 19 poles of the unit edge lie below 60, each a triple eigenvalue
+    assert np.count_nonzero(np.diff(eigs) == 0) == 2 * 19
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

@@ -135,6 +135,8 @@ def test_orbit_budget_guard():
     with pytest.raises(ValueError):
         density_from_orbits(graph, grid, 0.1, k_max=12)
     with pytest.raises(ValueError):
+        density_from_orbits(graph, grid, 0.1, k_max=10**7)
+    with pytest.raises(ValueError):
         density_from_orbits(graph, grid, 0.1, k_max=-1)
 
 
