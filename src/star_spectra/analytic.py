@@ -82,8 +82,12 @@ class Truncation:
                    larger counts must be multiples of 16 (composite panels
                    of 16), so the rule and its 2n-point refinement have
                    exactly the requested sizes
-    tau_cutoff  -- upper integration limit replacing infinity; the integrands
-                   decay like exp(-4*tau) so the tail beyond 3-4 is negligible
+    tau_cutoff  -- upper integration limit replacing infinity in R3's F1+F2
+                   part.  F1 decays like exp(-4*tau) but F2 does not: its
+                   exp(-4s) prefactor is offset by the Bessel growth, and
+                   f2(tau, tau) reads 0.279 and 0.198 at tau = 4 and 8, so
+                   R3 moves with the cutoff.  Above 10 the table's Bessel
+                   arguments leave `bessel_ratio`'s range and are refused
     """
 
     j_max: int = 6
@@ -92,6 +96,10 @@ class Truncation:
     tau_cutoff: float = 4.0
 
     def __post_init__(self):
+        for name in ("j_max", "m_max", "quad_points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.j_max < 1 or self.m_max < 1 or self.quad_points < 2:
             raise ValueError("cutoffs must be positive")
         if self.quad_points > 16 and self.quad_points % 16:
@@ -125,30 +133,46 @@ def _factorials(n: int) -> np.ndarray:
 
 # ----------------------------------------------------------------- Bessel --
 
+_BESSEL_UPPER = 100.0  # largest argument the 64-term series converges at
+
 
 def bessel_ratio(x):
     """B(x) = I_1(4*sqrt(x))/sqrt(x) = 2 * sum_k (4x)^k / (k! (k+1)!).
 
-    Entire in x, B(0) = 2.  Accepts scalars or arrays; the 64-term recurrence
-    is converged to machine precision for x up to ~100, far beyond the
-    x <= (tau_cutoff)^2 arguments used here.
+    Entire in x, B(0) = 2.  Accepts scalars or arrays.  The 64-term series is
+    converged to machine precision for x up to _BESSEL_UPPER = 100 and not
+    beyond (at x = 400 it is off by ~3e-7, at 900 by 22%), so a larger
+    argument raises ValueError.  F2 takes B at up to (tau + tau')^2/4, so
+    its arguments stay in range for tau + tau' < 20 (at exactly 20 rounding
+    may push one over), a table's for tau_cutoff <= 10.
 
     The sum may stop early, with the bits of all 64 terms: once every z is
     >= 0 and k(k+1) > max z, each later term is nonnegative and no larger
     than the current one, so if adding the current term again changes no
     element, no later term can (rounding is monotone).  Negative arguments
-    alternate in sign and always take the full series.
+    alternate in sign and always take the full series.  The term, the sum
+    and the probe are updated in place, with the operations of
+    `term = term * z / (k(k+1))` and `total + term`.
     """
     arr = np.asarray(x, dtype=float)
+    if arr.size and arr.max() > _BESSEL_UPPER:
+        raise ValueError(
+            f"bessel_ratio argument {float(arr.max()):g} exceeds {_BESSEL_UPPER:g}, "
+            "where its 64-term series stops converging"
+        )
     z = 4.0 * arr
     term = np.full_like(arr, 2.0)
     total = term.copy()
+    probe = np.empty_like(arr)
     z_max = z.max() if z.size and z.min() >= 0 else np.inf
     for k in range(1, 64):
-        term = term * z / (k * (k + 1))
+        np.multiply(term, z, out=term)
+        np.divide(term, k * (k + 1), out=term)
         total += term
-        if k % 8 == 0 and k * (k + 1) > z_max and np.array_equal(total + term, total):
-            break
+        if k % 8 == 0 and k * (k + 1) > z_max:
+            np.add(total, term, out=probe)
+            if np.array_equal(probe, total):
+                break
     return float(total) if np.isscalar(x) or arr.ndim == 0 else total
 
 
@@ -326,33 +350,39 @@ def _f2_bracket_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
     with J(c) = int_0^c B(q(s-q)) B(q(c-q)) dq,  s = tau + tau', and J2 the
     corresponding double integral over [0,tau] x [0,tau'].  Integrals are
     mapped to the unit interval/square (q = c*u) so the panels never move.
+
+    Each c - q is written c*u[::-1], the mirrored node.  The 1-D factors
+    g = B(q1 (tau-q1)) and h = B(q (tau'-q)) are then mirror symmetric, and
+    J2's argument P (s-P), P = tau u + tau' u', is bitwise the same at
+    (u, u') and at its mirror (1-u, 1-u'), where P and s - P swap places.
+    So J2 sums the columns u' < 1/2 twice and, for odd n, the middle column
+    once.  The weights are mirror symmetric too, bitwise when the rule's
+    panel count is a power of two and to rounding otherwise.
     """
     u, w = _gl_panels(n, 0.0, 1.0)
-    s = tau + tau_ps  # vector over tau'
+    mirror = u[::-1]
+    half, odd = divmod(n, 2)
+    cols = half + odd
+    col_weights = 2.0 * w[:cols]
+    if odd:
+        col_weights[half] = w[half]
 
-    # J(tau'): q = tau'*u, vector over tau' rows
-    q = tau_ps[:, None] * u[None, :]
-    jp = tau_ps * np.sum(
-        w[None, :] * bessel_ratio(q * (s[:, None] - q)) * bessel_ratio(q * (tau_ps[:, None] - q)),
-        axis=1,
-    )
-    # J(tau): q = tau*u, scalar in tau but s varies with tau'
-    q1 = tau * u
-    jt = tau * np.sum(
-        w[None, :] * bessel_ratio(q1[None, :] * (s[:, None] - q1[None, :]))
-        * bessel_ratio(q1 * (tau - q1))[None, :],
-        axis=1,
-    )
-    # J2: q = tau*u, q' = tau'*u'
-    qq = q1[:, None] + tau_ps[:, None, None] * u[None, None, :]  # (m, n, n)
-    inner = (
-        bessel_ratio(qq * (s[:, None, None] - qq))
-        * bessel_ratio(q1 * (tau - q1))[None, :, None]
-        * bessel_ratio(
-            (tau_ps[:, None] * u[None, :]) * (tau_ps[:, None] - tau_ps[:, None] * u[None, :])
-        )[:, None, :]
-    )
-    j2 = tau * tau_ps * np.einsum("i,j,mij->m", w, w, inner)
+    q1, q1_bar = tau * u, tau * mirror  # q1 = tau*u and tau - q1
+    q, q_bar = tau_ps[:, None] * u, tau_ps[:, None] * mirror  # q = tau'*u and tau' - q
+    g = bessel_ratio(q1 * q1_bar)
+    h = bessel_ratio(q * q_bar)
+
+    # J(tau'): s - q = tau + (tau' - q)
+    jp = tau_ps * np.sum(w * bessel_ratio(q * (tau + q_bar)) * h, axis=1)
+    # J(tau): s - q1 = tau' + (tau - q1)
+    jt = tau * np.sum(w * bessel_ratio(q1 * (tau_ps[:, None] + q1_bar)) * g, axis=1)
+    # J2 on the columns u' < 1/2 (and the middle one): P and s - P
+    p = q1[:, None] + q[:, None, :cols]  # (m, n, cols)
+    p_bar = q1_bar[:, None] + q_bar[:, None, :cols]
+    p *= p_bar
+    inner = bessel_ratio(p)
+    inner *= (col_weights * h[:, :cols])[:, None, :]
+    j2 = tau * tau_ps * np.sum(w * g * np.sum(inner, axis=2), axis=1)
 
     return bessel_ratio(tau * tau_ps) + 8.0 * (tau_ps * jp + tau * jt + tau * tau_ps * j2)
 
@@ -379,7 +409,8 @@ def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
     return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), trunc.quad_points))
 
 
-# Largest J2 tensor of one F2 task under the refined rule, in cells.  It
+# Largest J2 tensor of one F2 task under the refined rule, in cells: the
+# 2n-point rule evaluates 2n x n cells per tau' (half its square).  It
 # bounds each thread's temporaries in `_f2_square` to a few MB: worker threads
 # allocate from their own malloc arenas, which cannot reuse what the main
 # heap has freed, so larger tasks raise the process's peak memory.
@@ -391,14 +422,15 @@ def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
 
     Row i is evaluated at (taus[i], taus[i:]), the argument order of the
     scalar view, and mirrored into column i.  The rows are cut into column
-    chunks of at most `_F2_TASK_CELLS` J2 cells, run on `worker_count()`
+    chunks of at most `_F2_TASK_CELLS` evaluated J2 cells (2n x n per column
+    under the refined rule, so 8 columns at n = 64), run on `worker_count()`
     threads.  Every value is a function of its own (tau, tau') alone
     (`bessel_ratio` stops early only with the full series' bits), so the
     chunking and the thread count change no bit.  Each row's refinement check
     then runs on the whole row, as in the scalar view.
     """
     n = trunc.quad_points
-    width = max(1, _F2_TASK_CELLS // (2 * n) ** 2)
+    width = max(1, _F2_TASK_CELLS // (2 * n * n))
     tasks = [(i, lo) for i in range(taus.size) for lo in range(i, taus.size, width)]
 
     def run(task):
@@ -425,6 +457,8 @@ def _sorted_pair(tau: float, tau_p: float, upper: float):
     path identical under swaps.
     """
     lo, hi = sorted((float(tau), float(tau_p)))
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("tau and tau_p must be finite")
     if not 0.0 <= lo <= hi <= upper:
         raise ValueError(f"kernel arguments must lie in [0, {upper:g}]")
     return np.array([lo]), np.array([hi])

@@ -70,6 +70,10 @@ class EnsembleConfig:
     grid: tuple = ()
 
     def __post_init__(self):
+        for name in ("v", "realizations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.v < 1:
             raise ValueError("need at least one outer vertex")
         if self.realizations < 1:

@@ -1,6 +1,7 @@
 """Closed-form and series evaluators: kernels, form factor, correlations."""
 
 import threading
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -113,6 +114,22 @@ def test_bessel_ratio_early_exit_keeps_the_full_series_bits():
         assert isinstance(bessel_ratio(np.array(x)), float)
 
 
+def test_bessel_ratio_refuses_arguments_beyond_its_convergence():
+    # the 64-term series converges up to x = 100 (at 400 it is off by ~3e-7,
+    # at 900 by 22%); 100 itself stays in range
+    mp.mp.dps = 30
+    want = float(mp.besseli(1, 40) / 10)
+    assert bessel_ratio(100.0) == pytest.approx(want, rel=1e-13)
+    assert bessel_ratio(np.array([0.0, 100.0]))[1] == bessel_ratio(100.0)
+    for bad in (np.nextafter(100.0, np.inf), 400.0, np.array([1.0, 900.0])):
+        with pytest.raises(ValueError, match="exceeds 100"):
+            bessel_ratio(bad)
+    # F2 takes B at up to (tau + tau')^2 / 4
+    assert np.isfinite(f2(9.9, 10.0))
+    with pytest.raises(ValueError, match="exceeds 100"):
+        f2(12.0, 9.0)
+
+
 def test_bessel_linear_expansion_bound():
     xs = np.linspace(0.0, 0.1, 100)
     err = np.abs(bessel_ratio(xs) - (2.0 + 4.0 * xs))
@@ -177,6 +194,16 @@ def test_truncation_validation():
         Truncation(quad_points=1)
     with pytest.raises(ValueError):
         Truncation(tau_cutoff=2.5)
+    for field, bad in (
+        ("j_max", 2.5),
+        ("j_max", 3.0),
+        ("m_max", True),
+        ("m_max", "8"),
+        ("quad_points", 16.0),
+        ("quad_points", np.int64(16)),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            Truncation(**{field: bad})
     assert DEFAULT_TRUNCATION.degree_cap == 16
 
 
@@ -197,6 +224,12 @@ def test_nonfinite_arguments_are_rejected():
             r3_full(bad, 1.0)
         with pytest.raises(ValueError, match="x and y must be finite"):
             r3_full(1.0, bad)
+        # refused before any quadrature runs, so without numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((0.1, bad), (bad, 0.1), (bad, bad)):
+                with pytest.raises(ValueError, match="tau and tau_p must be finite"):
+                    f2(*args)
 
 
 def test_quad_points_are_never_rounded():
@@ -318,6 +351,46 @@ def test_f1_plus_f2_pinned_values():
         assert f1(tau, tau_p) + f2(tau, tau_p) == pytest.approx(want, rel=1e-10)
 
 
+def _f2_bracket_full_grid(tau, tau_ps, n):
+    """The F2 bracket with J2 summed over the whole n x n grid.
+
+    The package sums J2 over half the grid, using the integrand's mirror
+    symmetry; this is the plain double sum it must agree with.
+    """
+    u, w = _gl_panels(n, 0.0, 1.0)
+    s = tau + tau_ps
+    q = tau_ps[:, None] * u[None, :]
+    jp = tau_ps * np.sum(
+        w[None, :] * bessel_ratio(q * (s[:, None] - q)) * bessel_ratio(q * (tau_ps[:, None] - q)),
+        axis=1,
+    )
+    q1 = tau * u
+    jt = tau * np.sum(
+        w[None, :] * bessel_ratio(q1[None, :] * (s[:, None] - q1[None, :]))
+        * bessel_ratio(q1 * (tau - q1))[None, :],
+        axis=1,
+    )
+    qq = q1[:, None] + tau_ps[:, None, None] * u[None, None, :]
+    inner = (
+        bessel_ratio(qq * (s[:, None, None] - qq))
+        * bessel_ratio(q1 * (tau - q1))[None, :, None]
+        * bessel_ratio(q * (tau_ps[:, None] - q))[:, None, :]
+    )
+    j2 = tau * tau_ps * np.einsum("i,j,mij->m", w, w, inner)
+    return bessel_ratio(tau * tau_ps) + 8.0 * (tau_ps * jp + tau * jt + tau * tau_ps * j2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 15, 16, 64, 128])
+def test_f2_half_grid_matches_the_full_double_sum(n):
+    # odd n has a middle column, counted once; every other column twice
+    rng = np.random.default_rng(1500 + n)
+    tau_ps = np.concatenate(([0.0, 1.3, 4.0], rng.uniform(0.0, 4.0, 6)))
+    for tau in (0.0, 1.3, 4.0, *rng.uniform(0.0, 4.0, 3)):
+        got = analytic._f2_bracket_rows(tau, tau_ps, n)
+        want = _f2_bracket_full_grid(tau, tau_ps, n)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
 def test_f2_swap_symmetric_exactly():
     assert f2(0.3, 0.7) == f2(0.7, 0.3)
     assert f2(0.05, 0.6) == f2(0.6, 0.05)
@@ -329,10 +402,10 @@ def test_f2_refinement_guard_fires_on_coarse_rule(monkeypatch):
     coarse = Truncation(j_max=2, m_max=2, quad_points=2)
     with pytest.raises(QuadratureError):
         f2(3.5, 3.9, coarse)
-    # the same through the table build: rows cut into chunks of 2 columns,
-    # run on two threads, each row checked whole
+    # the same through the table build: rows cut into chunks of 2 columns
+    # (2n x n evaluated cells each), run on two threads, each row checked whole
     monkeypatch.setenv("STAR_SPECTRA_THREADS", "2")
-    monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 2 * (2 * coarse.quad_points) ** 2)
+    monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 2 * 2 * coarse.quad_points**2)
     threads = threading.active_count()
     with pytest.raises(QuadratureError):
         _f2_square(_gl_panels(16, 0.0, 4.0)[0], coarse)
@@ -500,8 +573,8 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
             assert np.array_equal(got, want)
         assert np.array_equal(_f4_block_matrix.__wrapped__(4, 8), _f4_block_matrix(4, 8))
         assert np.array_equal(_f2_square(nodes, trunc), old_loop)
-        # rows cut into chunks of 3 columns
-        monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 3 * (2 * trunc.quad_points) ** 2)
+        # rows cut into chunks of 3 columns (2n x n evaluated cells each)
+        monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 3 * 2 * trunc.quad_points**2)
         assert np.array_equal(_f2_square(nodes, trunc), old_loop)
         monkeypatch.undo()
         assert threading.active_count() == threads

@@ -282,6 +282,9 @@ def test_ensemble_config_validation():
     ):
         with pytest.raises(ValueError):
             EnsembleConfig(**{**good, **patch})
+    for field, bad in (("v", 3.0), ("v", True), ("realizations", 1.5), ("realizations", "2")):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            EnsembleConfig(**{**good, field: bad})
 
 
 def test_config_grid_is_frozen_to_plain_tuples():
