@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 
+_BESSEL_UPPER = 100.0  # largest argument bessel_ratio's 64-term series converges at
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Series and quadrature cutoffs for the analytic evaluators.
@@ -74,10 +77,11 @@ class Truncation:
     j_max       -- cutoff of the sum over distinct-edge counts j in K and in
                    the F3/F4 series
     m_max       -- cutoff of each multi-index component (t, t', t'', s) and of
-                   the power sum M in K; the two-variable series additionally
-                   keep only total polynomial degree <= 2*m_max;
-                   `k_formfactor` takes both as given, R2 and R3 as floors
-                   for K (see `_k_truncation`)
+                   the power sum M in K.  The two-variable series are
+                   evaluated as full component-capped sums; only the exact
+                   oracle `f3_coefficients` reports up to total polynomial
+                   degree 2*m_max (`degree_cap`).  `k_formfactor` takes both
+                   as given, R2 and R3 as floors for K (see `_k_truncation`)
     quad_points -- Gauss-Legendre points per axis: up to 16 form one panel,
                    larger counts must be multiples of 16 (composite panels
                    of 16), so the rule and its 2n-point refinement have
@@ -86,8 +90,9 @@ class Truncation:
                    part.  F1 decays like exp(-4*tau) but F2 does not: its
                    exp(-4s) prefactor is offset by the Bessel growth, and
                    f2(tau, tau) reads 0.279 and 0.198 at tau = 4 and 8, so
-                   R3 moves with the cutoff.  Above 10 the table's Bessel
-                   arguments leave `bessel_ratio`'s range and are refused
+                   R3 moves with the cutoff.  The table takes B at up to
+                   cutoff^2, so a cutoff above sqrt(_BESSEL_UPPER) = 10
+                   leaves `bessel_ratio`'s range and is refused here
     """
 
     j_max: int = 6
@@ -108,6 +113,8 @@ class Truncation:
             raise ValueError("tau_cutoff must be finite")
         if self.tau_cutoff < 3:
             raise ValueError("tau_cutoff below 3 would truncate visible mass")
+        if self.tau_cutoff**2 > _BESSEL_UPPER:
+            raise ValueError(f"tau_cutoff must be at most {_BESSEL_UPPER**0.5:g}")
 
     @property
     def degree_cap(self) -> int:
@@ -132,8 +139,6 @@ def _factorials(n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- Bessel --
-
-_BESSEL_UPPER = 100.0  # largest argument the 64-term series converges at
 
 
 def bessel_ratio(x):
@@ -623,7 +628,7 @@ def f4_coefficients(j: int, trunc: Truncation = DEFAULT_TRUNCATION) -> dict:
 # keep the worst-case absolute noise near (1, 1) below ~3e-2 at j = 6 (it
 # fades superexponentially away from the corner and is integrable noise for
 # the correlation transforms).
-_BLOCK_FLOOR = 1e-9  # omit blocks bounded below this against the result scale
+_BLOCK_FLOOR = 1e-9  # omit F3 blocks bounded below this against the result scale
 _MAX_CONV_CELLS = 6e7  # largest table a series block may allocate
 
 
@@ -639,30 +644,6 @@ def _require_cells(cells: int, j: int, m_max: int) -> None:
 def _f4_cells(j: int, m_max: int) -> int:
     """Cells of F4 block j's (a, T', T'') table; the exact DP has fewer states."""
     return m_max * (j * m_max + 1) ** 2
-
-
-def _f3_lead(j: int) -> float:
-    """Magnitude of the leading (tau tau')^j (tau + tau') term of block j."""
-    return 2.0 ** (3 * j + 1) / j
-
-
-def _f4_lead(j: int) -> float:
-    """Magnitude of the leading tau'^j (tau + tau') half-bracket term."""
-    return 2.0 * 4.0**j
-
-
-def _kept_blocks(j_max: int, lead, prod_max: float, sum_max: float) -> list:
-    """Blocks whose worst-case leading contribution clears the noise floor.
-
-    `prod_max` bounds tau * tau' over the evaluation points and `sum_max`
-    bounds tau + tau'; the factor 100 absorbs the block tail beyond its
-    leading term.
-    """
-    return [
-        j
-        for j in range(3, j_max + 1)
-        if 100.0 * lead(j) * prod_max**j * sum_max >= _BLOCK_FLOOR
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -878,38 +859,40 @@ def _f4_block_matrix(j: int, m_max: int) -> np.ndarray:
     return mat
 
 
-def _powers(values: np.ndarray, size: int) -> np.ndarray:
-    return np.power.outer(values.astype(_LONG), np.arange(size))
+def _block_sum(blocks, taus: np.ndarray, tau_ps: np.ndarray) -> np.ndarray:
+    """sum_j V(taus) M_j V(tau_ps)^T, V(x) the powers x^0, x^1, ... sized to each M_j."""
+    out = np.zeros((taus.size, tau_ps.size), dtype=_LONG)
+    for mat in blocks:
+        va = np.power.outer(taus.astype(_LONG), np.arange(mat.shape[0]))
+        vb = np.power.outer(tau_ps.astype(_LONG), np.arange(mat.shape[1]))
+        out += va @ mat @ vb.T
+    return out
 
 
 def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
+    """F3 on taus x tau_ps from the blocks whose bound clears _BLOCK_FLOOR.
+
+    Block j's leading term (tau tau')^j (tau + tau'), of magnitude 2^(3j+1)/j,
+    is bounded at the grid maxima; the factor 100 absorbs the block's tail.
+    """
     prod_max = float(np.max(taus) * np.max(tau_ps))
     sum_max = float(np.max(taus) + np.max(tau_ps))
-    inner = np.zeros((taus.size, tau_ps.size), dtype=_LONG)
-    kept = _kept_blocks(trunc.j_max, _f3_lead, prod_max, sum_max)
+    kept = []
+    for j in range(3, trunc.j_max + 1):
+        lead = 2.0 ** (3 * j + 1) / j
+        if 100.0 * lead * prod_max**j * sum_max >= _BLOCK_FLOOR:
+            kept.append(j)
     blocks = _f3_blocks(max(kept), trunc.m_max) if kept else ()
-    for j in kept:
-        mat = blocks[j - 3]
-        va = _powers(taus, mat.shape[0])
-        vb = _powers(tau_ps, mat.shape[1])
-        inner += va @ mat @ vb.T
+    inner = _block_sum([blocks[j - 3] for j in kept], taus, tau_ps)
     out = (taus[:, None] + tau_ps[None, :]) * inner
     return out.astype(float)
 
 
 def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    prod_max = float(max(np.max(taus), np.max(tau_ps)))
-    sum_max = float(np.max(taus) + np.max(tau_ps))
-    shape_a = shape_b = 0
-    blocks = _kept_blocks(trunc.j_max, _f4_lead, prod_max, sum_max)
-    half = np.zeros((taus.size, tau_ps.size), dtype=_LONG)
-    mirrored = np.zeros((tau_ps.size, taus.size), dtype=_LONG)
-    for j in blocks:
-        mat = _f4_block_matrix(j, trunc.m_max)
-        half += _powers(taus, mat.shape[0]) @ mat @ _powers(tau_ps, mat.shape[1]).T
-        mirrored += _powers(tau_ps, mat.shape[0]) @ mat @ _powers(taus, mat.shape[1]).T
-    half *= np.exp(-2.0 * taus.astype(_LONG))[:, None]
-    mirrored *= np.exp(-2.0 * tau_ps.astype(_LONG))[:, None]
+    """F4 on taus x tau_ps from every block j = 3..j_max, both mirrored halves."""
+    blocks = [_f4_block_matrix(j, trunc.m_max) for j in range(3, trunc.j_max + 1)]
+    half = _block_sum(blocks, taus, tau_ps) * np.exp(-2.0 * taus.astype(_LONG))[:, None]
+    mirrored = _block_sum(blocks, tau_ps, taus) * np.exp(-2.0 * tau_ps.astype(_LONG))[:, None]
     out = (taus[:, None] + tau_ps[None, :]) * (half + mirrored.T)
     return out.astype(float)
 
@@ -946,7 +929,7 @@ def f_components(taus, trunc: Truncation = DEFAULT_TRUNCATION) -> tuple:
     F2 and F4 carry the bits of the scalar views.  F3 selects its series
     blocks once for the whole grid, from its largest point, where the scalar
     view selects them per point; the blocks this adds are below the 1e-9
-    omission floor, so the two differ at that level at most.
+    omission floor (`_BLOCK_FLOOR`), so the two differ at that level at most.
     """
     taus = np.asarray(taus, dtype=float)
     ascending = taus.ndim == 1 and taus.size > 0 and np.all(np.diff(taus) >= 0)
@@ -1002,9 +985,9 @@ def _f12_table(trunc: Truncation):
 def _f34_table(trunc: Truncation):
     """(nodes, weights, F3+F4 values) over the series-valid square.
 
-    The alternating series for F3 and F4 only converge for arguments up to 1,
-    so their contribution to the double integral is cut at
-    _SERIES_UPPER = 1 -- beyond that the truncated polynomials would diverge
+    The alternating series for F3 and F4 are evaluated only for arguments up
+    to 1, so their contribution to the double integral is cut at
+    _SERIES_UPPER = 1 -- beyond that the truncated polynomials diverge
     rather than approximate anything.
 
     This square gets its own single-panel Gauss-Legendre rule, sized by the
@@ -1018,15 +1001,13 @@ def _f34_table(trunc: Truncation):
     truncation, reordering the F3 chain's sums alone moved F3(1, 1) by 0.026
     and r3_connected by up to 1.1e-4 (four points with |R3c| ~ 0.01-0.3);
     also rounding the edge weights to extended precision instead of float64
-    moved them by 0.075 and 3.1e-4.  Treat the F3+F4 part of R3 as known to
-    about 1e-4.
+    moved them by 0.075 and 3.1e-4.  That 1e-4 is rounding only: F4 is not
+    converged in j, and taking it alone from j_max 6 to 8 moves r3_connected
+    by 0.03-0.08 at five points (ROADMAP item 1).
     """
     degree = 2 * trunc.j_max * trunc.m_max + 2
     count = max(64, degree // 2 + 4)
-    raw_nodes, raw_weights = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * _SERIES_UPPER
-    nodes = half * (raw_nodes + 1.0)
-    weights = half * raw_weights
+    nodes, weights = _gl_unit(count)  # the unit square is the series square
     values = _f3_grid(nodes, nodes, trunc) + _f4_grid(nodes, nodes, trunc)
     # The kernel is symmetric, so the antisymmetric part of the table is pure
     # cancellation noise; averaging with the transpose removes it.  Without

@@ -43,6 +43,7 @@ from .graph import build_graph, load_graph, save_graph
 from .orbits import OrbitClass, q_bruteforce, q_formula
 from .spectrum import solve_spectrum
 from .trace import density_from_orbits, density_from_spectrum
+from .workers import worker_count
 
 # Estimator name -> (CSV coordinate columns, ensemble estimator, closed form).
 # Each coordinate c has its own --c-grid flag; the closed form takes one array
@@ -181,32 +182,36 @@ def _add_truncation_flags(parser) -> None:
     )
 
 
-def _truncation_from(args) -> Truncation:
+def _from_flags(build, *args, **kwargs):
+    """build(*args, **kwargs) on flag values; its ValueError is a usage error."""
     try:
-        return Truncation(
-            j_max=args.j_max,
-            m_max=args.m_max,
-            quad_points=args.quad,
-            tau_cutoff=args.tau_cutoff,
-        )
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _truncation_from(args) -> Truncation:
+    return _from_flags(
+        Truncation,
+        j_max=args.j_max,
+        m_max=args.m_max,
+        quad_points=args.quad,
+        tau_cutoff=args.tau_cutoff,
+    )
 
 
 def _ensemble_from(args, grid) -> EnsembleConfig:
-    if args.threads is not None and args.threads < 1:
-        raise UsageError("--threads must be at least 1")
-    try:
-        return EnsembleConfig(
-            v=args.v,
-            realizations=args.realizations,
-            lambda_max=args.lambda_max,
-            seed=args.seed,
-            kernel_width=args.kernel_width,
-            grid=grid,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.threads is not None:
+        _from_flags(worker_count, args.threads)
+    return _from_flags(
+        EnsembleConfig,
+        v=args.v,
+        realizations=args.realizations,
+        lambda_max=args.lambda_max,
+        seed=args.seed,
+        kernel_width=args.kernel_width,
+        grid=grid,
+    )
 
 
 def _kernel_table(args):
@@ -242,11 +247,7 @@ def _kernel_table(args):
 
 
 def _cmd_gen(args):
-    if args.v < 1:
-        raise UsageError("--v must be at least 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-    save_graph(build_graph(args.v, args.seed), args.out)
+    save_graph(_from_flags(build_graph, args.v, args.seed), args.out)
     return {"v": args.v, "seed": args.seed}
 
 
@@ -274,10 +275,7 @@ def _cmd_orbits_q(args):
     m = _parse_int_list(args.m, "--m")
     if len(n) != len(m):
         raise UsageError("--n and --m must have the same number of entries")
-    try:
-        cls = OrbitClass(j=len(n), n=n, m=m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cls = _from_flags(OrbitClass, j=len(n), n=n, m=m)
     if args.method == "formula":
         print(q_formula(cls))
         return 0
@@ -292,10 +290,7 @@ def _cmd_orbits_q(args):
 
 
 def _cmd_trace_check(args):
-    if args.v < 1:
-        raise UsageError("--v must be at least 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
+    graph = _from_flags(build_graph, args.v, args.seed)
     _require_finite(args, "sigma", "step", "lambda_min", "lambda_max")
     if args.sigma <= 0:
         raise UsageError("--sigma must be positive")
@@ -303,7 +298,6 @@ def _cmd_trace_check(args):
         raise UsageError("--kmax must be nonnegative")
     if args.step <= 0 or args.lambda_max <= args.lambda_min:
         raise UsageError("need --step > 0 and --lambda-max > --lambda-min")
-    graph = build_graph(args.v, args.seed)
     grid = _grid(args.lambda_min, args.lambda_max, args.step, "--lambda-min/--lambda-max/--step")
     # eigenvalues beyond the window still leak Gaussian mass into it
     spectrum = solve_spectrum(graph, args.lambda_max + 8.0 * args.sigma)

@@ -35,7 +35,6 @@ __all__ = [
     "q_bruteforce",
     "q_formula",
     "class_weight",
-    "partitions",
     "necklaces",
 ]
 
@@ -243,15 +242,6 @@ def class_weight(counts: tuple, v: int) -> float:
     minus_c = Fraction(-2, v)
     total = sum(minus_c**t * factorial(t - 1) * poly[t] for t in range(1, k + 1))
     return float((-1) ** k * total)
-
-
-def partitions(big_n: int, big_k: int) -> int:
-    """Number of ordered partitions of big_n into big_k positive parts."""
-    if big_k < 1 or big_n < 1:
-        raise ValueError("need positive arguments")
-    if big_k > big_n:
-        return 0
-    return comb(big_n - 1, big_k - 1)
 
 
 @lru_cache(maxsize=32)

@@ -94,17 +94,18 @@ def _evolution_chunks(graph: StarGraph, lams: np.ndarray):
         yield start, w
 
 
-def _secular_det_batch(graph: StarGraph, lams: np.ndarray) -> np.ndarray:
-    out = np.empty(len(lams), dtype=complex)
+def secular_det(graph: StarGraph, lam):
+    """det(I - W(lam)) with W = D C D; zero at eigenvalues.
+
+    Array-first: a scalar lam returns a complex, an array an array of its
+    shape, each element with the bits of the scalar call.
+    """
+    lams = np.asarray(lam, dtype=float)
+    out = np.empty(lams.size, dtype=complex)
     eye = np.eye(graph.v)
-    for start, w in _evolution_chunks(graph, lams):
+    for start, w in _evolution_chunks(graph, lams.ravel()):
         out[start : start + len(w)] = np.linalg.det(eye - w)
-    return out
-
-
-def secular_det(graph: StarGraph, lam: float) -> complex:
-    """det(I - W(lam)) with W = D C D; zero at eigenvalues."""
-    return complex(_secular_det_batch(graph, np.array([float(lam)]))[0])
+    return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def secular_real(graph: StarGraph, lams) -> np.ndarray:
@@ -119,7 +120,7 @@ def secular_real(graph: StarGraph, lams) -> np.ndarray:
     v=1, l=1 this reduces to 2*sin(lam).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    dets = _secular_det_batch(graph, lams)
+    dets = secular_det(graph, lams)
     return np.imag(dets * np.exp(1j * lams * graph.total_length / 2.0))
 
 

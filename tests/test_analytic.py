@@ -192,8 +192,10 @@ def test_truncation_validation():
         Truncation(m_max=0)
     with pytest.raises(ValueError):
         Truncation(quad_points=1)
-    with pytest.raises(ValueError):
-        Truncation(tau_cutoff=2.5)
+    for cutoff in (2.5, 10.5):
+        with pytest.raises(ValueError, match="tau_cutoff"):
+            Truncation(tau_cutoff=cutoff)
+    Truncation(tau_cutoff=10.0)  # the table's largest Bessel argument is then 100
     for field, bad in (
         ("j_max", 2.5),
         ("j_max", 3.0),
@@ -629,20 +631,25 @@ def test_components_sum_to_total():
 
 
 def test_kernel_grids_match_scalar_views():
-    taus = np.linspace(0.0, 1.0, 6)
-    grids = f_components(taus, SMALL)
-    views = (
-        f1,
-        lambda a, b: f2(a, b, SMALL),
-        lambda a, b: f3(a, b, SMALL),
-        lambda a, b: f4(a, b, SMALL),
-    )
-    want = [np.array([[fn(a, b) for b in taus] for a in taus]) for fn in views]
-    assert np.array_equal(grids[0], want[0])
-    assert np.array_equal(grids[1], want[1])
-    assert np.abs(grids[2] - want[2]).max() <= 1e-9
-    assert np.array_equal(grids[2], grids[2].T)
-    assert np.array_equal(grids[3], want[3])
+    # the small grid is where a per-grid choice of F4 blocks would differ
+    # from the per-point one
+    for taus, trunc in (
+        (np.linspace(0.0, 1.0, 6), SMALL),
+        (np.array([0.0, 0.001, 0.002]), DEFAULT_TRUNCATION),
+    ):
+        grids = f_components(taus, trunc)
+        views = (
+            f1,
+            lambda a, b: f2(a, b, trunc),
+            lambda a, b: f3(a, b, trunc),
+            lambda a, b: f4(a, b, trunc),
+        )
+        want = [np.array([[fn(a, b) for b in taus] for a in taus]) for fn in views]
+        assert np.array_equal(grids[0], want[0])
+        assert np.array_equal(grids[1], want[1])
+        assert np.abs(grids[2] - want[2]).max() <= 1e-9
+        assert np.array_equal(grids[2], grids[2].T)
+        assert np.array_equal(grids[3], want[3])
     for bad in ([0.5, 0.2], [0.0, 1.2], [-0.1, 0.3]):
         with pytest.raises(ValueError):
             f_components(bad, SMALL)

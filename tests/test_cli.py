@@ -433,6 +433,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
     assert main(["analytic", "k", "--tau", "0.1", "--quad", "50"]) == 2
+    # refused before any table is built: its Bessel arguments would pass 100
+    trunc = ["--j-max", "3", "--m-max", "4", "--tau-cutoff", "11"]
+    assert main(["analytic", "r3", "--x", "0.5", "--y", "1", *trunc]) == 2
     ensemble = ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30"]
     out = ["--out", str(tmp_path / "r.csv")]
     assert main([*ensemble, "--threads", "0", *out]) == 2

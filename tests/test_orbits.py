@@ -12,7 +12,6 @@ from star_spectra import (
     classify,
     enumerate_class,
     necklaces,
-    partitions,
     q_bruteforce,
     q_formula,
     repetition_number,
@@ -157,15 +156,6 @@ def test_two_letter_weighted_enumeration_matches_closed_form():
 def test_bruteforce_budget_guard():
     with pytest.raises(ValueError):
         q_bruteforce(OrbitClass(2, (9, 9), (1, 1)), budget=12)
-
-
-def test_ordered_partition_counts():
-    assert partitions(5, 2) == 4
-    assert partitions(8, 3) == comb(7, 2)
-    assert partitions(3, 5) == 0
-    assert partitions(4, 4) == 1
-    with pytest.raises(ValueError):
-        partitions(0, 1)
 
 
 def _euler_phi(d):

@@ -167,10 +167,16 @@ def test_reduced_determinant_matches_directed_edge_determinant(v):
     s[v:, :v] = np.eye(v)
     # midpoints between consecutive eigenvalues keep |det| away from zero
     eigs = solve_spectrum(graph, 40.0).eigenvalues
-    for lam in 0.5 * (eigs[1:] + eigs[:-1]):
+    mids = 0.5 * (eigs[1:] + eigs[:-1])
+    for lam in mids:
         u = np.exp(-1j * lam * np.concatenate([l, l]))[:, None] * s
         expected = np.linalg.det(np.eye(2 * v) - u)
         np.testing.assert_allclose(secular_det(graph, float(lam)), expected, rtol=1e-10, atol=0)
+    # array-first: an array gives each element the bits of the scalar call
+    scalars = [secular_det(graph, float(lam)) for lam in mids]
+    assert all(type(d) is complex for d in scalars)
+    assert np.array_equal(secular_det(graph, mids), np.array(scalars))
+    assert secular_det(graph, mids[:4].reshape(2, 2)).shape == (2, 2)
 
 
 def test_determinant_side_flips_sign_across_roots():
