@@ -23,7 +23,7 @@ once per final state, so no cancellation happens inside an accumulation.  The
 exact `Fraction` routes (`c_coeff`, `f3_coefficients`, `f4_coefficients`)
 build the same coefficients independently; they are the oracles the float
 tables are tested against.  Evaluators are pure; coefficient tables are
-cached per truncation and safe to share across threads.
+cached on the cutoffs they read and safe to share across threads.
 
 The two cold builds behind a first R3 evaluation, the F3 chain convolution
 (`_conv`) and the F1+F2 quadrature table (`_f2_square`), run on
@@ -42,7 +42,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .workers import thread_map, worker_count
+from .workers import pool_map, worker_count
 
 __all__ = [
     "DEFAULT_TRUNCATION",
@@ -233,7 +233,7 @@ def c_coeff(j: int, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _k_poly(trunc: Truncation) -> np.ndarray:
+def _k_poly(j_max: int, m_max: int) -> np.ndarray:
     """Coefficients of the polynomial part of K(tau), ascending powers.
 
     The float counterpart of `_c_row`: the pair weights are all positive, so
@@ -242,26 +242,25 @@ def _k_poly(trunc: Truncation) -> np.ndarray:
     per (K, N) state, the signed sum over j stays in extended precision, and
     each coefficient is rounded to float64 once.
     """
-    cap, j_max = trunc.m_max, trunc.j_max
-    fact = _factorials(cap + j_max)
-    k, n = np.ogrid[: cap + 1, : cap + 1]
-    inside = k + n <= cap
+    fact = _factorials(m_max + j_max)
+    k, n = np.ogrid[: m_max + 1, : m_max + 1]
+    inside = k + n <= m_max
     support = list(zip(*np.nonzero(inside)))
-    pair = np.zeros((cap + 1, cap + 1), dtype=_LONG)
+    pair = np.zeros((m_max + 1, m_max + 1), dtype=_LONG)
     for a, b in support:
         pair[a, b] = _LONG(comb(a + b, a)) / (fact[a + 1] * fact[b + 1])
-    signs = _LONG(-2.0) ** np.arange(cap + 1)
-    coeffs = np.zeros(cap + j_max + 2, dtype=_LONG)
+    signs = _LONG(-2.0) ** np.arange(m_max + 1)
+    coeffs = np.zeros(m_max + j_max + 2, dtype=_LONG)
     conv = pair
     for j in range(2, j_max + 1):
         nxt = np.zeros_like(conv)
         for a, b in support:
-            nxt[a:, b:] += pair[a, b] * conv[: cap + 1 - a, : cap + 1 - b]
+            nxt[a:, b:] += pair[a, b] * conv[: m_max + 1 - a, : m_max + 1 - b]
         conv = np.where(inside, nxt, 0)
         terms = (conv * fact[k + j - 1] * fact[n + j - 1])[inside] / fact[(k + n + j - 1)[inside]]
-        row = np.zeros(cap + 1, dtype=_LONG)
+        row = np.zeros(m_max + 1, dtype=_LONG)
         np.add.at(row, (k + n)[inside], terms)
-        coeffs[j + 1 : j + cap + 2] += _LONG(4**j) / fact[j] * signs * row
+        coeffs[j + 1 : j + m_max + 2] += _LONG(4**j) / fact[j] * signs * row
     return coeffs.astype(float)
 
 
@@ -288,7 +287,8 @@ def k_formfactor(tau, trunc: Truncation = DEFAULT_TRUNCATION):
         raise ValueError("tau must be nonnegative")
     if np.any(taus > _K_UPPER):
         raise ValueError(f"form-factor series is only valid for tau <= {_K_UPPER}")
-    values = np.exp(-4.0 * taus) + np.polynomial.polynomial.polyval(taus, _k_poly(trunc))
+    coeffs = _k_poly(trunc.j_max, trunc.m_max)
+    values = np.exp(-4.0 * taus) + np.polynomial.polynomial.polyval(taus, coeffs)
     return float(values) if taus.ndim == 0 else values
 
 
@@ -409,9 +409,9 @@ def _f2_verified(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
-    """F2 at (tau, each tau_p) with a one-shot refinement verification."""
-    return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), trunc.quad_points))
+def _f2_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
+    """F2 at (tau, each tau_p), n-point rule, with a one-shot refinement verification."""
+    return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), n))
 
 
 # Largest J2 tensor of one F2 task under the refined rule, in cells: the
@@ -422,8 +422,8 @@ def _f2_rows(tau: float, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
 _F2_TASK_CELLS = 2**16
 
 
-def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
-    """F2 on taus x taus for ascending taus.
+def _f2_square(taus: np.ndarray, n: int) -> np.ndarray:
+    """F2 on taus x taus for ascending taus, n-point rule.
 
     Row i is evaluated at (taus[i], taus[i:]), the argument order of the
     scalar view, and mirrored into column i.  The rows are cut into column
@@ -434,7 +434,6 @@ def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
     chunking and the thread count change no bit.  Each row's refinement check
     then runs on the whole row, as in the scalar view.
     """
-    n = trunc.quad_points
     width = max(1, _F2_TASK_CELLS // (2 * n * n))
     tasks = [(i, lo) for i in range(taus.size) for lo in range(i, taus.size, width)]
 
@@ -442,7 +441,7 @@ def _f2_square(taus: np.ndarray, trunc: Truncation) -> np.ndarray:
         i, lo = task
         return _f2_pair(float(taus[i]), taus[lo : lo + width], n)
 
-    pairs = thread_map(run, tasks)
+    pairs = pool_map(run, tasks)
     coarse = np.empty((taus.size, taus.size))
     fine = np.empty((taus.size, taus.size))
     for (i, lo), (row_coarse, row_fine) in zip(tasks, pairs):
@@ -472,7 +471,7 @@ def _sorted_pair(tau: float, tau_p: float, upper: float):
 def f2(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Second kernel component (one- and two-dimensional Bessel integrals)."""
     lo, hi = _sorted_pair(tau, tau_p, np.inf)
-    return float(_f2_rows(float(lo[0]), hi, trunc)[0])
+    return float(_f2_rows(float(lo[0]), hi, trunc.quad_points)[0])
 
 
 # ------------------------------------------------------------ kernel F3, F4 --
@@ -742,7 +741,7 @@ def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
                 window = out[tuple(slice(i + c, i + c + n) for i, c, n in zip(idx, corner, part.shape))]
                 np.add(window, dest, out=window)
 
-    thread_map(fill, _balanced_ranges(boxes, edge, axis, shape[axis], parts))
+    pool_map(fill, _balanced_ranges(boxes, edge, axis, shape[axis], parts))
     return out
 
 
@@ -869,7 +868,7 @@ def _block_sum(blocks, taus: np.ndarray, tau_ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
+def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np.ndarray:
     """F3 on taus x tau_ps from the blocks whose bound clears _BLOCK_FLOOR.
 
     Block j's leading term (tau tau')^j (tau + tau'), of magnitude 2^(3j+1)/j,
@@ -878,19 +877,19 @@ def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndar
     prod_max = float(np.max(taus) * np.max(tau_ps))
     sum_max = float(np.max(taus) + np.max(tau_ps))
     kept = []
-    for j in range(3, trunc.j_max + 1):
+    for j in range(3, j_max + 1):
         lead = 2.0 ** (3 * j + 1) / j
         if 100.0 * lead * prod_max**j * sum_max >= _BLOCK_FLOOR:
             kept.append(j)
-    blocks = _f3_blocks(max(kept), trunc.m_max) if kept else ()
+    blocks = _f3_blocks(max(kept), m_max) if kept else ()
     inner = _block_sum([blocks[j - 3] for j in kept], taus, tau_ps)
     out = (taus[:, None] + tau_ps[None, :]) * inner
     return out.astype(float)
 
 
-def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, trunc: Truncation) -> np.ndarray:
+def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np.ndarray:
     """F4 on taus x tau_ps from every block j = 3..j_max, both mirrored halves."""
-    blocks = [_f4_block_matrix(j, trunc.m_max) for j in range(3, trunc.j_max + 1)]
+    blocks = [_f4_block_matrix(j, m_max) for j in range(3, j_max + 1)]
     half = _block_sum(blocks, taus, tau_ps) * np.exp(-2.0 * taus.astype(_LONG))[:, None]
     mirrored = _block_sum(blocks, tau_ps, taus) * np.exp(-2.0 * tau_ps.astype(_LONG))[:, None]
     out = (taus[:, None] + tau_ps[None, :]) * (half + mirrored.T)
@@ -903,12 +902,12 @@ _SERIES_UPPER = 1.0
 
 def f3(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Third kernel component (triple-index alternating series), on [0,1]^2."""
-    return float(_f3_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc)[0, 0])
+    return float(_f3_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc.j_max, trunc.m_max)[0, 0])
 
 
 def f4(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
     """Fourth kernel component (split-orbit series), on [0,1]^2."""
-    return float(_f4_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc)[0, 0])
+    return float(_f4_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc.j_max, trunc.m_max)[0, 0])
 
 
 def f_total(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
@@ -935,13 +934,13 @@ def f_components(taus, trunc: Truncation = DEFAULT_TRUNCATION) -> tuple:
     ascending = taus.ndim == 1 and taus.size > 0 and np.all(np.diff(taus) >= 0)
     if not (ascending and 0.0 <= taus[0] and taus[-1] <= _SERIES_UPPER):
         raise ValueError("taus must be a nonempty ascending 1-D sequence in [0, 1]")
-    f3_upper = np.triu(_f3_grid(taus, taus, trunc))
+    f3_upper = np.triu(_f3_grid(taus, taus, trunc.j_max, trunc.m_max))
     return (
         f1(taus[:, None], taus[None, :]),
-        _f2_square(taus, trunc),
+        _f2_square(taus, trunc.quad_points),
         # mirrored, so swapped arguments give identical bits as in `f3`
         f3_upper + np.triu(f3_upper, 1).T,
-        _f4_grid(taus, taus, trunc),
+        _f4_grid(taus, taus, trunc.j_max, trunc.m_max),
     )
 
 
@@ -960,7 +959,9 @@ def dirichlet_moment(exponents, tau: float) -> float:
     coordinates of which the last is eliminated.  Used as the independent
     oracle for the series derivations.
     """
-    exps = tuple(int(e) for e in exponents)
+    exps = tuple(exponents)
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
+        raise ValueError(f"exponents must be ints, got {exps!r}")
     j = len(exps)
     if j < 2:
         raise ValueError("need at least two coordinates")
@@ -975,14 +976,14 @@ def dirichlet_moment(exponents, tau: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _f12_table(trunc: Truncation):
+def _f12_table(quad_points: int, tau_cutoff: float):
     """(nodes, weights, F1+F2 values) over [0, tau_cutoff]^2 quadrature grid."""
-    nodes, weights = _gl_panels(trunc.quad_points, 0.0, trunc.tau_cutoff)
-    return nodes, weights, f1(nodes[:, None], nodes[None, :]) + _f2_square(nodes, trunc)
+    nodes, weights = _gl_panels(quad_points, 0.0, tau_cutoff)
+    return nodes, weights, f1(nodes[:, None], nodes[None, :]) + _f2_square(nodes, quad_points)
 
 
 @lru_cache(maxsize=None)
-def _f34_table(trunc: Truncation):
+def _f34_table(j_max: int, m_max: int):
     """(nodes, weights, F3+F4 values) over the series-valid square.
 
     The alternating series for F3 and F4 are evaluated only for arguments up
@@ -1005,10 +1006,10 @@ def _f34_table(trunc: Truncation):
     converged in j, and taking it alone from j_max 6 to 8 moves r3_connected
     by 0.03-0.08 at five points (ROADMAP item 1).
     """
-    degree = 2 * trunc.j_max * trunc.m_max + 2
+    degree = 2 * j_max * m_max + 2
     count = max(64, degree // 2 + 4)
     nodes, weights = _gl_unit(count)  # the unit square is the series square
-    values = _f3_grid(nodes, nodes, trunc) + _f4_grid(nodes, nodes, trunc)
+    values = _f3_grid(nodes, nodes, j_max, m_max) + _f4_grid(nodes, nodes, j_max, m_max)
     # The kernel is symmetric, so the antisymmetric part of the table is pure
     # cancellation noise; averaging with the transpose removes it.  Without
     # this, the noise breaks the relabeling symmetry of the triple transform.
@@ -1053,8 +1054,11 @@ def r3_connected(x, y, trunc: Truncation = DEFAULT_TRUNCATION, f12=None, f34=Non
     """
     xs, ys = _finite_pairs(x, y)
     total = np.zeros(xs.shape)
-    for table_fn, hook in ((_f12_table, f12), (_f34_table, f34)):
-        nodes, weights, table = table_fn(trunc)
+    tables = (
+        (_f12_table(trunc.quad_points, trunc.tau_cutoff), f12),
+        (_f34_table(trunc.j_max, trunc.m_max), f34),
+    )
+    for (nodes, weights, table), hook in tables:
         if hook is not None:
             table = np.asarray(hook(nodes, nodes), dtype=float)
         total += _cosine_transform(xs, ys, nodes, weights, table)

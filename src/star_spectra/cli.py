@@ -168,8 +168,6 @@ def _parse_int_list(text: str, flag: str):
         values = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated integer list") from None
-    if not values:
-        raise UsageError(f"{flag} must not be empty")
     return values
 
 

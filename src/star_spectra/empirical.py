@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import build_graph
 from .spectrum import Spectrum, solve_spectrum
-from .workers import worker_count
+from .workers import pool_map
 
 __all__ = [
     "CorrelationEstimate",
@@ -70,7 +70,7 @@ class EnsembleConfig:
     grid: tuple = ()
 
     def __post_init__(self):
-        for name in ("v", "realizations"):
+        for name in ("v", "realizations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -357,19 +357,12 @@ def _require_grid(grid, shape: tuple, message: str) -> None:
 def _estimate(config: EnsembleConfig, threads, estimate_one, what: str) -> CorrelationEstimate:
     """Run one `_realization_job` per realization and aggregate as `_from_levels` does.
 
-    Jobs are keyed by (seed, index), and both `map` and the pool's `map` return
-    the rows in index order, so the aggregate does not depend on the worker
-    count or completion order.  One worker runs the jobs in the calling
-    process; otherwise the pool lives for this call only.
+    Jobs are keyed by (seed, index) and run on a `pool_map` process pool,
+    which returns the rows in index order, so the aggregate does not depend
+    on the worker count or completion order.
     """
     job = partial(_realization_job, config, estimate_one)
-    indices = range(config.realizations)
-    workers = min(worker_count(threads), config.realizations)
-    if workers == 1:
-        rows = list(map(job, indices))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, indices))
+    rows = pool_map(job, range(config.realizations), threads, ProcessPoolExecutor)
     values, stderr, counts = _aggregate(rows, config.grid, what)
     return CorrelationEstimate(
         grid=config.grid,

@@ -53,8 +53,6 @@ class OrbitClass:
         for ni, mi in zip(self.n, self.m):
             if not 1 <= mi <= ni:
                 raise ValueError(f"need 1 <= m_i <= n_i, got m={mi}, n={ni}")
-        if self.j >= 2 and sum(self.m) < 2:
-            raise ValueError("multi-letter classes need at least two blocks")
 
     @property
     def half_period(self) -> int:
@@ -194,8 +192,6 @@ def q_formula(cls: OrbitClass) -> Fraction:
     prefactor = Fraction(1)
     for ni, mi in zip(cls.n, cls.m):
         prefactor *= comb(ni - 1, mi - 1)
-    if prefactor == 0:
-        return Fraction(0)
     total = Fraction(0)
     for t in product(*(range(1, mi + 1) for mi in cls.m)):
         big_t = sum(t)

@@ -170,7 +170,7 @@ def test_k_poly_matches_exact_coefficients(trunc):
     # of the float64 result, plus the extended-precision rounding of the
     # terms that cancel across j (the low powers cancel up to ~3e6-fold).
     eps_long = float(np.finfo(np.longdouble).eps)
-    coeffs = _k_poly(trunc)
+    coeffs = _k_poly(trunc.j_max, trunc.m_max)
     exact, mass = _exact_k_poly(trunc)
     assert len(coeffs) == len(exact)
     for got, want, scale in zip(coeffs, exact, mass):
@@ -410,7 +410,7 @@ def test_f2_refinement_guard_fires_on_coarse_rule(monkeypatch):
     monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 2 * 2 * coarse.quad_points**2)
     threads = threading.active_count()
     with pytest.raises(QuadratureError):
-        _f2_square(_gl_panels(16, 0.0, 4.0)[0], coarse)
+        _f2_square(_gl_panels(16, 0.0, 4.0)[0], coarse.quad_points)
     assert threading.active_count() == threads
 
 
@@ -564,7 +564,7 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
     trunc = Truncation(j_max=3, m_max=2, quad_points=16)
     old_loop = np.empty((nodes.size, nodes.size))
     for i, tau in enumerate(nodes):
-        old_loop[i, i:] = _f2_rows(float(tau), nodes[i:], trunc)
+        old_loop[i, i:] = _f2_rows(float(tau), nodes[i:], trunc.quad_points)
         old_loop[i:, i] = old_loop[i, i:]
     threads = threading.active_count()
     for count in ("1", "2", "3"):
@@ -574,10 +574,10 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
         for got, want in zip(f3_blocks, _f3_blocks(5, 4)):
             assert np.array_equal(got, want)
         assert np.array_equal(_f4_block_matrix.__wrapped__(4, 8), _f4_block_matrix(4, 8))
-        assert np.array_equal(_f2_square(nodes, trunc), old_loop)
+        assert np.array_equal(_f2_square(nodes, trunc.quad_points), old_loop)
         # rows cut into chunks of 3 columns (2n x n evaluated cells each)
         monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 3 * 2 * trunc.quad_points**2)
-        assert np.array_equal(_f2_square(nodes, trunc), old_loop)
+        assert np.array_equal(_f2_square(nodes, trunc.quad_points), old_loop)
         monkeypatch.undo()
         assert threading.active_count() == threads
 
@@ -677,6 +677,8 @@ def test_simplex_moments_exact_values():
         dirichlet_moment((1,), 1.0)
     with pytest.raises(ValueError):
         dirichlet_moment((1, -1), 1.0)
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        dirichlet_moment((1.5, 1), 1.0)
 
 
 # --------------------------------------------------- three-point assembly --
@@ -717,12 +719,32 @@ def test_r3_full_takes_arrays():
             r3_full(np.where(xs > 2.0, bad, xs), ys, trunc)
 
 
+def test_tables_are_cached_on_the_cutoffs_they_read():
+    # keys used by no other test, so the first call at each is a build
+    def builds(table, truncations, evaluate):
+        before = table.cache_info().misses
+        for trunc in truncations:
+            evaluate(trunc)
+        return table.cache_info().misses - before
+
+    def r3c(trunc):
+        return r3_connected(0.5, 1.0, trunc)
+
+    # F1+F2 read (quad_points, tau_cutoff), F3+F4 and K read (j_max, m_max)
+    by_j = [Truncation(j_max=j, m_max=2, quad_points=16, tau_cutoff=3.5) for j in (2, 3)]
+    assert builds(_f12_table, by_j, r3c) == 1
+    by_quad = [Truncation(j_max=3, m_max=3, quad_points=q, tau_cutoff=3.5) for q in (16, 32)]
+    assert builds(_f34_table, by_quad, r3c) == 1
+    by_quad = [Truncation(j_max=7, m_max=9, quad_points=q) for q in (16, 32)]
+    assert builds(_k_poly, by_quad, lambda trunc: k_formfactor(0.1, trunc)) == 1
+
+
 def test_r3_connected_matches_the_direct_cosine_sum():
     # reference: the three cosines summed over the quadrature grid one by one
     trunc = Truncation(j_max=3, m_max=4, quad_points=32)
     for x, y in ((0.5, 1.0), (-1.3, 0.4), (2.2, 2.9)):
         want = 0.0
-        for nodes, weights, table in (_f12_table(trunc), _f34_table(trunc)):
+        for nodes, weights, table in (_f12_table(trunc.quad_points, trunc.tau_cutoff), _f34_table(trunc.j_max, trunc.m_max)):
             tt, pp = np.meshgrid(nodes, nodes, indexing="ij")
             cosines = (
                 np.cos(2 * np.pi * (y * tt + (y - x) * pp))

@@ -143,6 +143,8 @@ def test_orbits_q_both_methods_agree(capsys):
 def test_orbits_q_formula_only(capsys):
     assert main(["orbits", "q", "--n", "2,2", "--m", "2,2", "--method", "formula"]) == 0
     assert capsys.readouterr().out.strip() == "1/2"
+    assert main(["orbits", "q", "--n", "2,2", "--m", "2,2", "--method", "brute"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2"
 
 
 def test_orbits_q_mismatch_exits_one(monkeypatch, capsys):
@@ -271,7 +273,7 @@ def test_analytic_r3_prints_value(capsys):
     float(capsys.readouterr().out.strip())
 
 
-def test_expansion_table_prints_to_stdout(capsys):
+def test_expansion_table_prints_to_stdout(tmp_path, capsys):
     assert main(["expansion-table", *TINY]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "tau,tau_p,f_total,f_expansion"
@@ -279,6 +281,12 @@ def test_expansion_table_prints_to_stdout(capsys):
     origin = lines[1].split(",")
     assert origin[2] == "2"
     assert origin[3] == "2"
+    # with --out it writes the lines it prints, plus a manifest
+    out = tmp_path / "expansion.csv"
+    assert main(["expansion-table", *TINY, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().splitlines() == lines
+    assert _read_manifest(out)["config"]["truncation"]["j_max"] == 2
 
 
 # -------------------------------------------------------- empirical + manifest --
@@ -351,6 +359,14 @@ def test_compare_r2_report(tmp_path, r2_run):
     assert manifest["config"]["k_truncation"]["j_max"] == 12
     assert manifest["config"]["k_truncation"]["m_max"] == 60
     assert manifest["config"]["truncation"]["j_max"] == 2
+    # a blank line inside the input is skipped
+    header, *data = r2_run.read_text().splitlines()
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("\n".join([header, data[0], "", *data[1:]]) + "\n")
+    Path(str(gapped) + ".manifest.json").write_text(Path(str(r2_run) + ".manifest.json").read_text())
+    again = tmp_path / "cmp-gapped.csv"
+    assert main(["compare", "--input", str(gapped), "--out", str(again), *TINY]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_compare_r3_report(tmp_path, r3_run):
@@ -394,6 +410,17 @@ def test_compare_rejects_a_short_row(tmp_path, r2_run, capsys):
     code = main(["compare", "--input", str(data), "--out", str(tmp_path / "c.csv"), *TINY])
     assert code == 1
     assert "too few cells" in capsys.readouterr().err
+    # a missing input, an empty CSV and a header-only CSV, each with a valid manifest
+    header = r2_run.read_text().splitlines()[0]
+    inputs = ((None, "does not exist"), ("", "is empty"), (header + "\n", "no data rows"))
+    for k, (text, message) in enumerate(inputs):
+        data = tmp_path / f"input{k}.csv"
+        Path(str(data) + ".manifest.json").write_text(Path(str(r2_run) + ".manifest.json").read_text())
+        if text is not None:
+            data.write_text(text)
+        code = main(["compare", "--input", str(data), "--out", str(tmp_path / "c.csv"), *TINY])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_compare_rejects_wrong_columns(tmp_path, capsys):
@@ -428,6 +455,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         )
         == 2
     )
+    ensemble = ["empirical", "r2", "--v", "8", "--realizations", "1", "--lambda-max", "30"]
+    for grid in ("0:1", "a:b:c"):
+        assert main([*ensemble, "--x-grid", grid, "--out", str(tmp_path / "r.csv")]) == 2
+    f_table = ["analytic", "f", "--out", str(tmp_path / "f.csv")]
+    for flags in (
+        ["--tau-max", "1.5"],
+        ["--tau-max", "0"],
+        ["--step", "0"],
+        ["--tau-max", "0.5", "--step", "0.6"],
+    ):
+        assert main([*f_table, *flags]) == 2
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "f.csv").exists()
     capsys.readouterr()
 
 
@@ -450,6 +489,13 @@ def test_invalid_truncation_and_ensemble_values_exit_two(tmp_path, capsys):
     for flag in ("--lambda-max", "--lambda-min", "--step", "--sigma"):
         for value in ("inf", "nan"):
             assert main([*trace, flag, value]) == 2
+    for flags in (
+        ["--sigma", "0"],
+        ["--kmax", "-1"],
+        ["--step", "0"],
+        ["--lambda-min", "10", "--lambda-max", "5"],
+    ):
+        assert main([*trace, *flags]) == 2
     assert not (tmp_path / "r.csv").exists()
     capsys.readouterr()
 

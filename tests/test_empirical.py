@@ -17,6 +17,7 @@ from star_spectra import (
     r3_from_levels,
     solve_spectrum,
     unfold,
+    worker_count,
 )
 from star_spectra.empirical import (
     _SUPPORT,
@@ -27,7 +28,6 @@ from star_spectra.empirical import (
     _reference_mask,
     _retained,
     _triple_images,
-    worker_count,
 )
 from star_spectra.spectrum import Spectrum
 
@@ -285,6 +285,9 @@ def test_ensemble_config_validation():
     for field, bad in (("v", 3.0), ("v", True), ("realizations", 1.5), ("realizations", "2")):
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             EnsembleConfig(**{**good, field: bad})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            EnsembleConfig(**{**good, "seed": bad})
 
 
 def test_config_grid_is_frozen_to_plain_tuples():
@@ -329,6 +332,9 @@ def test_worker_count_sources(monkeypatch):
     assert worker_count() >= 1
     with pytest.raises(ValueError):
         worker_count(0)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="worker count must be an int"):
+            worker_count(bad)
     monkeypatch.setenv("STAR_SPECTRA_THREADS", "two")
     with pytest.raises(ValueError, match="STAR_SPECTRA_THREADS"):
         worker_count()
