@@ -22,11 +22,13 @@ weights, and the alternating (-2)^T sign and the factorial ratios are applied
 once per final state, so no cancellation happens inside an accumulation.  The
 exact `Fraction` routes (`c_coeff`, `f3_coefficients`, `f4_coefficients`)
 build the same coefficients independently; they are the oracles the float
-tables are tested against.  Evaluators are pure; coefficient tables are
-cached on the cutoffs they read and safe to share across threads.
+tables are tested against.  Evaluators are pure, and K, R2, R3 and the
+kernel components are array-first: a scalar call returns a float, an array
+call an array of the broadcast shape.  Coefficient tables are cached on the
+cutoffs they read and safe to share across threads.
 
 The two cold builds behind a first R3 evaluation, the F3 chain convolution
-(`_conv`) and the F1+F2 quadrature table (`_f2_square`), run on
+(`_conv`) and the F2 pair engine under the F1+F2 table (`_f2_pairs`), run on
 `worker_count()` threads (`STAR_SPECTRA_THREADS`, else the CPU count).  Each
 thread writes a disjoint part of the output, and every output value gets the
 same operations in the same order as on one thread, so the tables are
@@ -37,11 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import numpy as np
 
+from ._guards import require_int
 from .workers import pool_map, worker_count
 
 __all__ = [
@@ -57,7 +60,6 @@ __all__ = [
     "f3",
     "f4",
     "f_total",
-    "f_components",
     "f_expansion",
     "f3_coefficients",
     "f4_coefficients",
@@ -82,10 +84,12 @@ class Truncation:
                    oracle `f3_coefficients` reports up to total polynomial
                    degree 2*m_max (`degree_cap`).  `k_formfactor` takes both
                    as given, R2 and R3 as floors for K (see `_k_truncation`)
-    quad_points -- Gauss-Legendre points per axis: up to 16 form one panel,
-                   larger counts must be multiples of 16 (composite panels
-                   of 16), so the rule and its 2n-point refinement have
-                   exactly the requested sizes
+    quad_points -- Gauss-Legendre points per axis of the F1+F2 table and of
+                   F2's inner integrals: up to 16 form one panel, larger
+                   counts must be multiples of 16 (composite panels of 16),
+                   so the rule and its 2n-point refinement have exactly the
+                   requested sizes.  The F3+F4 table's rule is sized by
+                   j_max and m_max instead (`_f34_rule`)
     tau_cutoff  -- upper integration limit replacing infinity in R3's F1+F2
                    part.  F1 decays like exp(-4*tau) but F2 does not: its
                    exp(-4s) prefactor is offset by the Bessel growth, and
@@ -102,9 +106,7 @@ class Truncation:
 
     def __post_init__(self):
         for name in ("j_max", "m_max", "quad_points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.j_max < 1 or self.m_max < 1 or self.quad_points < 2:
             raise ValueError("cutoffs must be positive")
         if self.quad_points > 16 and self.quad_points % 16:
@@ -343,9 +345,33 @@ def r2_analytic(x, trunc: Truncation = DEFAULT_TRUNCATION, kernel=None):
 # ------------------------------------------------------------ kernel F1, F2 --
 
 
-def f1(tau: float, tau_p: float) -> float:
-    """First kernel component, 2*exp(-4*tau)*exp(-4*tau_p)."""
-    return 2.0 * np.exp(-4.0 * (tau + tau_p))
+def _finite_pairs(x, y, names: str = "x and y") -> tuple:
+    """x and y as float arrays broadcast to one shape, all finite."""
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError(f"{names} must be finite")
+    return xs, ys
+
+
+def _pairwise(evaluate, tau, tau_p, upper: float):
+    """evaluate(lo, hi) on the flat argument pairs, each ordered as lo <= hi.
+
+    The front of every kernel evaluator: tau and tau_p broadcast, are finite
+    and lie in [0, upper].  The kernel is symmetric, and ordering each pair
+    gives swapped arguments the same bits.  Scalars return a float, arrays an
+    array of the broadcast shape.
+    """
+    taus, tau_ps = _finite_pairs(tau, tau_p, "tau and tau_p")
+    lo, hi = np.minimum(taus, tau_ps), np.maximum(taus, tau_ps)
+    if lo.size and not (lo.min() >= 0.0 and hi.max() <= upper):
+        raise ValueError(f"kernel arguments must lie in [0, {upper:g}]")
+    values = evaluate(lo.ravel(), hi.ravel()).reshape(lo.shape) if lo.size else np.zeros(lo.shape)
+    return float(values) if values.ndim == 0 else values
+
+
+def f1(tau, tau_p):
+    """First kernel component, 2*exp(-4*tau)*exp(-4*tau_p), for tau, tau' >= 0."""
+    return _pairwise(lambda lo, hi: 2.0 * np.exp(-4.0 * (lo + hi)), tau, tau_p, np.inf)
 
 
 def _f2_bracket_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
@@ -392,86 +418,54 @@ def _f2_bracket_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
     return bessel_ratio(tau * tau_ps) + 8.0 * (tau_ps * jp + tau * jt + tau * tau_ps * j2)
 
 
-def _f2_pair(tau: float, tau_ps: np.ndarray, n: int) -> tuple:
-    """F2 at (tau, each tau_p) under the n-point rule and its 2n-point refinement."""
-    s = tau + tau_ps
-    pref = np.exp(-4.0 * s) * s
-    return pref * _f2_bracket_rows(tau, tau_ps, n), pref * _f2_bracket_rows(tau, tau_ps, 2 * n)
-
-
-def _f2_verified(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """The refined row, once it agrees with the coarse one to 1e-8 of its scale."""
-    gap = np.max(np.abs(fine - coarse))
-    if gap > 1e-8 * max(1.0, float(np.max(np.abs(fine)))):
-        raise QuadratureError(
-            f"inner quadrature for F2 moved by {gap:.2e} under refinement"
-        )
-    return fine
-
-
-def _f2_rows(tau: float, tau_ps: np.ndarray, n: int) -> np.ndarray:
-    """F2 at (tau, each tau_p), n-point rule, with a one-shot refinement verification."""
-    return _f2_verified(*_f2_pair(tau, np.asarray(tau_ps, dtype=float), n))
-
-
 # Largest J2 tensor of one F2 task under the refined rule, in cells: the
 # 2n-point rule evaluates 2n x n cells per tau' (half its square).  It
-# bounds each thread's temporaries in `_f2_square` to a few MB: worker threads
+# bounds each thread's temporaries in `_f2_pairs` to a few MB: worker threads
 # allocate from their own malloc arenas, which cannot reuse what the main
 # heap has freed, so larger tasks raise the process's peak memory.
 _F2_TASK_CELLS = 2**16
 
 
-def _f2_square(taus: np.ndarray, n: int) -> np.ndarray:
-    """F2 on taus x taus for ascending taus, n-point rule.
+def _f2_pairs(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """F2 at each pair (lo[i], hi[i]), lo <= hi, n-point rule: the pair engine.
 
-    Row i is evaluated at (taus[i], taus[i:]), the argument order of the
-    scalar view, and mirrored into column i.  The rows are cut into column
-    chunks of at most `_F2_TASK_CELLS` evaluated J2 cells (2n x n per column
-    under the refined rule, so 8 columns at n = 64), run on `worker_count()`
-    threads.  Every value is a function of its own (tau, tau') alone
-    (`bessel_ratio` stops early only with the full series' bits), so the
-    chunking and the thread count change no bit.  Each row's refinement check
-    then runs on the whole row, as in the scalar view.
+    The distinct pairs are grouped into rows of one lo value, each evaluated
+    at (lo, its ascending hi values); on a square grid of ascending taus, row
+    i is (taus[i], taus[i:]).  The rows are cut into column chunks of at most
+    `_F2_TASK_CELLS` evaluated J2 cells (2n x n per column under the refined
+    rule, so 8 columns at n = 64), run on `worker_count()` threads.  Every
+    value is a function of its own (tau, tau') alone (`bessel_ratio` stops
+    early only with the full series' bits), so the grouping, the chunking and
+    the thread count change no bit.  Each value is taken under the n-point
+    rule and its 2n-point refinement, and the refined row is kept once the
+    whole row agrees with the coarse one to 1e-8 of its scale.
     """
+    pairs, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0, return_inverse=True)
+    starts = np.unique(pairs[:, 0], return_index=True)[1].tolist()
+    rows = list(zip(starts, [*starts[1:], len(pairs)]))
     width = max(1, _F2_TASK_CELLS // (2 * n * n))
-    tasks = [(i, lo) for i in range(taus.size) for lo in range(i, taus.size, width)]
+    tasks = [(a, c, min(c + width, b)) for a, b in rows for c in range(a, b, width)]
 
     def run(task):
-        i, lo = task
-        return _f2_pair(float(taus[i]), taus[lo : lo + width], n)
+        row, first, stop = task
+        tau, tau_ps = float(pairs[row, 0]), pairs[first:stop, 1]
+        s = tau + tau_ps
+        pref = np.exp(-4.0 * s) * s
+        return pref * _f2_bracket_rows(tau, tau_ps, n), pref * _f2_bracket_rows(tau, tau_ps, 2 * n)
 
-    pairs = pool_map(run, tasks)
-    coarse = np.empty((taus.size, taus.size))
-    fine = np.empty((taus.size, taus.size))
-    for (i, lo), (row_coarse, row_fine) in zip(tasks, pairs):
-        coarse[i, lo : lo + width] = row_coarse
-        fine[i, lo : lo + width] = row_fine
-    out = np.empty((taus.size, taus.size))
-    for i in range(taus.size):
-        out[i, i:] = _f2_verified(coarse[i, i:], fine[i, i:])
-        out[i:, i] = out[i, i:]
-    return out
-
-
-def _sorted_pair(tau: float, tau_p: float, upper: float):
-    """Shared argument check of the scalar views: (lo, hi) as 1-point grids.
-
-    The kernel is symmetric; fixing the argument order keeps the evaluation
-    path identical under swaps.
-    """
-    lo, hi = sorted((float(tau), float(tau_p)))
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("tau and tau_p must be finite")
-    if not 0.0 <= lo <= hi <= upper:
-        raise ValueError(f"kernel arguments must lie in [0, {upper:g}]")
-    return np.array([lo]), np.array([hi])
+    coarse, fine = np.empty(len(pairs)), np.empty(len(pairs))
+    for (_, first, stop), rules in zip(tasks, pool_map(run, tasks)):
+        coarse[first:stop], fine[first:stop] = rules
+    for a, b in rows:
+        gap = np.max(np.abs(fine[a:b] - coarse[a:b]))
+        if gap > 1e-8 * max(1.0, float(np.max(np.abs(fine[a:b])))):
+            raise QuadratureError(f"inner quadrature for F2 moved by {gap:.2e} under refinement")
+    return fine[inverse.ravel()]
 
 
-def f2(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
-    """Second kernel component (one- and two-dimensional Bessel integrals)."""
-    lo, hi = _sorted_pair(tau, tau_p, np.inf)
-    return float(_f2_rows(float(lo[0]), hi, trunc.quad_points)[0])
+def f2(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
+    """Second kernel component (one- and two-dimensional Bessel integrals), for tau, tau' >= 0."""
+    return _pairwise(partial(_f2_pairs, n=trunc.quad_points), tau, tau_p, np.inf)
 
 
 # ------------------------------------------------------------ kernel F3, F4 --
@@ -900,48 +894,32 @@ def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np
 _SERIES_UPPER = 1.0
 
 
-def f3(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
-    """Third kernel component (triple-index alternating series), on [0,1]^2."""
-    return float(_f3_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc.j_max, trunc.m_max)[0, 0])
+def _on_distinct_grid(grid, lo, hi, trunc: Truncation) -> np.ndarray:
+    """`grid` once on the distinct lo values x the distinct hi values, read at each pair."""
+    los, row = np.unique(lo, return_inverse=True)
+    his, col = np.unique(hi, return_inverse=True)
+    return grid(los, his, trunc.j_max, trunc.m_max)[row, col]
 
 
-def f4(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
-    """Fourth kernel component (split-orbit series), on [0,1]^2."""
-    return float(_f4_grid(*_sorted_pair(tau, tau_p, _SERIES_UPPER), trunc.j_max, trunc.m_max)[0, 0])
+def f3(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
+    """Third kernel component (triple-index alternating series), on [0,1]^2.
 
-
-def f_total(tau: float, tau_p: float, trunc: Truncation = DEFAULT_TRUNCATION) -> float:
-    """Full three-point kernel F = F1 + F2 + F3 + F4 on the series domain."""
-    _sorted_pair(tau, tau_p, _SERIES_UPPER)
-    return (
-        f1(tau, tau_p)
-        + f2(tau, tau_p, trunc)
-        + f3(tau, tau_p, trunc)
-        + f4(tau, tau_p, trunc)
-    )
-
-
-def f_components(taus, trunc: Truncation = DEFAULT_TRUNCATION) -> tuple:
-    """F1, F2, F3 and F4 on the grid taus x taus, as four square arrays.
-
-    taus is an ascending 1-D sequence inside [0, 1], the series domain.  F1,
-    F2 and F4 carry the bits of the scalar views.  F3 selects its series
-    blocks once for the whole grid, from its largest point, where the scalar
-    view selects them per point; the blocks this adds are below the 1e-9
-    omission floor (`_BLOCK_FLOOR`), so the two differ at that level at most.
+    Its series blocks are chosen once per call, at the largest lo and hi
+    (`_f3_grid`); those an array call keeps beyond a scalar call's are below
+    the 1e-9 omission floor (`_BLOCK_FLOOR`), so the two differ by no more.
     """
-    taus = np.asarray(taus, dtype=float)
-    ascending = taus.ndim == 1 and taus.size > 0 and np.all(np.diff(taus) >= 0)
-    if not (ascending and 0.0 <= taus[0] and taus[-1] <= _SERIES_UPPER):
-        raise ValueError("taus must be a nonempty ascending 1-D sequence in [0, 1]")
-    f3_upper = np.triu(_f3_grid(taus, taus, trunc.j_max, trunc.m_max))
-    return (
-        f1(taus[:, None], taus[None, :]),
-        _f2_square(taus, trunc.quad_points),
-        # mirrored, so swapped arguments give identical bits as in `f3`
-        f3_upper + np.triu(f3_upper, 1).T,
-        _f4_grid(taus, taus, trunc.j_max, trunc.m_max),
-    )
+    return _pairwise(lambda lo, hi: _on_distinct_grid(_f3_grid, lo, hi, trunc), tau, tau_p, _SERIES_UPPER)
+
+
+def f4(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
+    """Fourth kernel component (split-orbit series), on [0,1]^2."""
+    return _pairwise(lambda lo, hi: _on_distinct_grid(_f4_grid, lo, hi, trunc), tau, tau_p, _SERIES_UPPER)
+
+
+def f_total(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
+    """Full three-point kernel F = F1 + F2 + F3 + F4 on the series domain."""
+    _pairwise(np.add, tau, tau_p, _SERIES_UPPER)  # refused outside it before F2 runs
+    return f1(tau, tau_p) + f2(tau, tau_p, trunc) + f3(tau, tau_p, trunc) + f4(tau, tau_p, trunc)
 
 
 def f_expansion(tau: float, tau_p: float) -> float:
@@ -960,8 +938,7 @@ def dirichlet_moment(exponents, tau: float) -> float:
     oracle for the series derivations.
     """
     exps = tuple(exponents)
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in exps):
-        raise ValueError(f"exponents must be ints, got {exps!r}")
+    require_int("exponents", *exps)
     j = len(exps)
     if j < 2:
         raise ValueError("need at least two coordinates")
@@ -975,54 +952,57 @@ def dirichlet_moment(exponents, tau: float) -> float:
     return float(scale) * tau ** (m + j - 1)
 
 
+def _f12_rule(quad_points: int, tau_cutoff: float):
+    """Nodes and weights of the F1+F2 table: composite Gauss-Legendre on [0, tau_cutoff]."""
+    return _gl_panels(quad_points, 0.0, tau_cutoff)
+
+
 @lru_cache(maxsize=None)
 def _f12_table(quad_points: int, tau_cutoff: float):
-    """(nodes, weights, F1+F2 values) over [0, tau_cutoff]^2 quadrature grid."""
-    nodes, weights = _gl_panels(quad_points, 0.0, tau_cutoff)
-    return nodes, weights, f1(nodes[:, None], nodes[None, :]) + _f2_square(nodes, quad_points)
+    """(nodes, weights, F1+F2 values) on the `_f12_rule` grid."""
+    nodes, weights = _f12_rule(quad_points, tau_cutoff)
+    grid = (nodes[:, None], nodes[None, :])
+    return nodes, weights, f1(*grid) + _pairwise(partial(_f2_pairs, n=quad_points), *grid, np.inf)
 
 
-@lru_cache(maxsize=None)
-def _f34_table(j_max: int, m_max: int):
-    """(nodes, weights, F3+F4 values) over the series-valid square.
+def _f34_rule(j_max: int, m_max: int):
+    """Nodes and weights of the F3+F4 table: one Gauss-Legendre panel on [0, 1].
 
     The alternating series for F3 and F4 are evaluated only for arguments up
     to 1, so their contribution to the double integral is cut at
     _SERIES_UPPER = 1 -- beyond that the truncated polynomials diverge
-    rather than approximate anything.
-
-    This square gets its own single-panel Gauss-Legendre rule, sized by the
-    polynomial degree of the truncated series rather than by `quad_points`:
-    an n-point panel integrates polynomials of degree 2n-1 exactly, so the
-    rule below is converged by construction.  Tying it to `quad_points`
-    would not add accuracy -- the series evaluation carries a floating-point
-    noise floor of roughly 1e-19 times its alternating-term mass (worst near
-    the (1,1) corner), and re-sampling the values on a different node set
-    merely re-rolls that noise.  Integrated, it is not small: at the default
-    truncation, reordering the F3 chain's sums alone moved F3(1, 1) by 0.026
-    and r3_connected by up to 1.1e-4 (four points with |R3c| ~ 0.01-0.3);
-    also rounding the edge weights to extended precision instead of float64
-    moved them by 0.075 and 3.1e-4.  That 1e-4 is rounding only: F4 is not
-    converged in j, and taking it alone from j_max 6 to 8 moves r3_connected
-    by 0.03-0.08 at five points (ROADMAP item 1).
+    rather than approximate anything.  The panel is sized by the polynomial
+    degree of the truncated series rather than by `quad_points`: an n-point
+    panel integrates polynomials of degree 2n-1 exactly, so the rule is
+    converged by construction.
     """
     degree = 2 * j_max * m_max + 2
-    count = max(64, degree // 2 + 4)
-    nodes, weights = _gl_unit(count)  # the unit square is the series square
+    return _gl_unit(max(64, degree // 2 + 4))
+
+
+@lru_cache(maxsize=None)
+def _f34_table(j_max: int, m_max: int):
+    """(nodes, weights, F3+F4 values) on the `_f34_rule` grid.
+
+    Tying the rule to `quad_points` would not add accuracy -- the series
+    evaluation carries a floating-point noise floor of roughly 1e-19 times
+    its alternating-term mass (worst near the (1,1) corner), and re-sampling
+    the values on a different node set merely re-rolls that noise.
+    Integrated, it is not small: at the default truncation, reordering the F3
+    chain's sums alone moved F3(1, 1) by 0.026 and r3_connected by up to
+    1.1e-4 (four points with |R3c| ~ 0.01-0.3); also rounding the edge
+    weights to extended precision instead of float64 moved them by 0.075 and
+    3.1e-4.  That 1e-4 is rounding only: F4 is not converged in j, and
+    taking it alone from j_max 6 to 8 moves r3_connected by 0.03-0.08 at five
+    points (ROADMAP item 1).
+    """
+    nodes, weights = _f34_rule(j_max, m_max)
     values = _f3_grid(nodes, nodes, j_max, m_max) + _f4_grid(nodes, nodes, j_max, m_max)
     # The kernel is symmetric, so the antisymmetric part of the table is pure
     # cancellation noise; averaging with the transpose removes it.  Without
     # this, the noise breaks the relabeling symmetry of the triple transform.
     values = 0.5 * (values + values.T)
     return nodes, weights, values
-
-
-def _finite_pairs(x, y) -> tuple:
-    """x and y as float arrays broadcast to one shape, all finite."""
-    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("x and y must be finite")
-    return xs, ys
 
 
 def _cosine_transform(xs, ys, nodes, weights, table) -> np.ndarray:
@@ -1047,21 +1027,22 @@ def r3_connected(x, y, trunc: Truncation = DEFAULT_TRUNCATION, f12=None, f34=Non
     cos(2pi(y tau' - x(tau+tau'))) + cos(2pi(y tau + x tau'))] * F(tau, tau').
 
     F1+F2 are integrated over [0, tau_cutoff]^2; the F3+F4 series over their
-    validity square (see _f34_table).  Array-first: scalar (x, y) return a
+    validity square (see _f34_rule).  Array-first: scalar (x, y) return a
     float, broadcastable arrays an array of their broadcast shape.  `f12` /
     `f34` replace the cached kernel tables for surrogate checks; each maps
-    (taus, tau_ps) to a value matrix.
+    (taus, tau_ps) to a value matrix on its table's rule, and a replaced
+    table is not built.
     """
     xs, ys = _finite_pairs(x, y)
     total = np.zeros(xs.shape)
-    tables = (
-        (_f12_table(trunc.quad_points, trunc.tau_cutoff), f12),
-        (_f34_table(trunc.j_max, trunc.m_max), f34),
+    parts = (
+        (_f12_rule, _f12_table, (trunc.quad_points, trunc.tau_cutoff), f12),
+        (_f34_rule, _f34_table, (trunc.j_max, trunc.m_max), f34),
     )
-    for (nodes, weights, table), hook in tables:
-        if hook is not None:
-            table = np.asarray(hook(nodes, nodes), dtype=float)
-        total += _cosine_transform(xs, ys, nodes, weights, table)
+    for rule, table, cutoffs, hook in parts:
+        nodes, weights = rule(*cutoffs)
+        values = table(*cutoffs)[2] if hook is None else np.asarray(hook(nodes, nodes), dtype=float)
+        total += _cosine_transform(xs, ys, nodes, weights, values)
     return float(total) if total.ndim == 0 else total
 
 

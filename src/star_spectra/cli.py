@@ -31,8 +31,12 @@ from .analytic import (
     DEFAULT_TRUNCATION,
     QuadratureError,
     Truncation,
+    _SERIES_UPPER,
     _k_truncation,
-    f_components,
+    f1,
+    f2,
+    f3,
+    f4,
     f_expansion,
     k_formfactor,
     r2_analytic,
@@ -45,21 +49,16 @@ from .spectrum import solve_spectrum
 from .trace import density_from_orbits, density_from_spectrum
 from .workers import worker_count
 
-# Estimator name -> (CSV coordinate columns, ensemble estimator, closed form).
-# Each coordinate c has its own --c-grid flag; the closed form takes one array
+# Quantity name -> (coordinates, closed form, ensemble estimator or None,
+# `analytic` help).  Each coordinate c is an `analytic` flag --c, an
+# `empirical` flag --c-grid and a CSV column; the closed form takes one array
 # per coordinate and a truncation.
-_ESTIMATORS = {
-    "r2": (("x",), estimate_r2, r2_analytic),
-    "r3": (("x", "y"), estimate_r3, r3_full),
+_QUANTITIES = {
+    "k": (("tau",), k_formfactor, None, "form factor K at one tau"),
+    "r2": (("x",), r2_analytic, estimate_r2, "two-point correlation at one x"),
+    "r3": (("x", "y"), r3_full, estimate_r3, "full three-point correlation at one (x, y)"),
 }
-
-# `analytic` point evaluations: name -> (coordinate flags, evaluator, help).
-# The evaluator takes one value per flag and a truncation.
-_POINT_EVALUATORS = {
-    "k": (("tau",), k_formfactor, "form factor K at one tau"),
-    "r2": (("x",), r2_analytic, "two-point correlation at one x"),
-    "r3": (("x", "y"), r3_full, "full three-point correlation at one (x, y)"),
-}
+_ESTIMATED = tuple(name for name, (_, _, estimate, _) in _QUANTITIES.items() if estimate)
 
 # Most cells a grid may hold: physical memory in 8-byte floats.  Every command
 # keeps at least one float64 per cell (a 2-D grid counts every (x, y) cell).
@@ -165,10 +164,9 @@ def _require_finite(args, *names) -> None:
 
 def _parse_int_list(text: str, flag: str):
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated integer list") from None
-    return values
 
 
 def _add_truncation_flags(parser) -> None:
@@ -219,14 +217,15 @@ def _kernel_table(args):
     and `expansion-table` print it.
     """
     trunc = _truncation_from(args)
-    if not 0 < args.tau_max <= 1.0:
-        raise UsageError("--tau-max must lie in (0, 1] (series validity square)")
+    if not 0 < args.tau_max <= _SERIES_UPPER:
+        raise UsageError(f"--tau-max must lie in (0, {_SERIES_UPPER:g}] (series validity square)")
     if not 0 < args.step <= args.tau_max:
         raise UsageError("--step must lie in (0, tau-max]")
     side = _count(0.0, args.tau_max, args.step)
     _require_points(side * side, "the (tau, tau') square")  # before either axis is built
     taus = _grid(0.0, args.tau_max, args.step, "--tau-max/--step")
-    parts = f_components(taus, trunc)
+    grid = (taus[:, None], taus[None, :])
+    parts = (f1(*grid), f2(*grid, trunc), f3(*grid, trunc), f4(*grid, trunc))
     total = parts[0] + parts[1] + parts[2] + parts[3]
     rows = [
         (tau, tau_p, *(p[i, k] for p in parts), total[i, k], f_expansion(float(tau), float(tau_p)))
@@ -318,7 +317,7 @@ def _cmd_analytic_f(args):
 
 
 def _cmd_analytic_point(args):
-    coords, evaluate, _ = _POINT_EVALUATORS[args.analytic_command]
+    coords, evaluate, _, _ = _QUANTITIES[args.analytic_command]
     _require_finite(args, *coords)
     print(_fmt(evaluate(*(getattr(args, c) for c in coords), _truncation_from(args))))
     return 0
@@ -336,7 +335,7 @@ def _cmd_expansion_table(args):
 
 
 def _cmd_empirical(args):
-    coords, estimate_fn, _ = _ESTIMATORS[args.empirical_command]
+    coords, _, estimate_fn, _ = _QUANTITIES[args.empirical_command]
     axes = [_parse_range(getattr(args, f"{c}_grid")) for c in coords]
     _require_points(prod(map(len, axes)), "the estimator grid")
     grid = tuple(product(*axes)) if len(axes) > 1 else tuple(axes[0])
@@ -360,7 +359,7 @@ def _cmd_compare(args):
     config_echo = manifest.get("config", {})
     estimator = config_echo.get("estimator")
     ensemble = config_echo.get("ensemble")
-    if estimator not in _ESTIMATORS or not isinstance(ensemble, dict):
+    if estimator not in _ESTIMATED or not isinstance(ensemble, dict):
         raise ValidationFailure(
             "input manifest carries no ensemble metadata; refusing to compare"
         )
@@ -369,7 +368,7 @@ def _cmd_compare(args):
     for target in (out_path, Path(str(out_path) + ".manifest.json")):
         if target.resolve() in protected:
             raise ValidationFailure(f"refusing to overwrite input file {target}")
-    coords, _, closed_form = _ESTIMATORS[estimator]
+    coords, closed_form, _, _ = _QUANTITIES[estimator]
     rows_in = _read_csv_rows(input_path, coords)
     analytic = closed_form(*np.array([point for point, _, _ in rows_in]).T, trunc)
     rows = []
@@ -470,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_truncation_flags(f_parser)
     f_parser.set_defaults(handler=_cmd_analytic_f)
 
-    for name, (coords, _, help_text) in _POINT_EVALUATORS.items():
+    for name, (coords, _, _, help_text) in _QUANTITIES.items():
         a = analytic_sub.add_parser(name, help=help_text)
         for c in coords:
             a.add_argument(f"--{c}", type=float, required=True)
@@ -489,7 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("empirical", help="Monte Carlo correlation estimates")
     empirical_sub = p.add_subparsers(dest="empirical_command", required=True)
-    for name, (coords, _, _) in _ESTIMATORS.items():
+    for name in _ESTIMATED:
+        coords = _QUANTITIES[name][0]
         e = empirical_sub.add_parser(name, help=f"estimate {name} over an ensemble")
         e.add_argument("--v", type=int, required=True)
         e.add_argument("--realizations", type=int, required=True)

@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from ._guards import require_int
 from .graph import build_graph
 from .spectrum import Spectrum, solve_spectrum
 from .workers import pool_map
@@ -71,9 +72,7 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for name in ("v", "realizations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.v < 1:
             raise ValueError("need at least one outer vertex")
         if self.realizations < 1:

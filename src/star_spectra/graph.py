@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._guards import require_int
+
 __all__ = ["StarGraph", "build_graph", "s_amplitude", "load_graph", "save_graph"]
 
 
@@ -44,6 +46,8 @@ class StarGraph:
 
 def build_graph(v: int, seed: int) -> StarGraph:
     """Draw a star graph with v edges, lengths uniform on [1-1/(2v), 1+1/(2v)]."""
+    require_int("v", v)
+    require_int("seed", seed)
     if v < 1:
         raise ValueError(f"need at least one edge, got v={v}")
     if seed < 0:
@@ -51,7 +55,7 @@ def build_graph(v: int, seed: int) -> StarGraph:
     rng = np.random.Generator(np.random.PCG64(seed))
     lo = 1.0 - 1.0 / (2 * v)
     lengths = lo + rng.random(v) * (1.0 / v)
-    return StarGraph(v=v, lengths=tuple(float(x) for x in lengths), seed=int(seed))
+    return StarGraph(v=v, lengths=tuple(float(x) for x in lengths), seed=seed)
 
 
 def s_amplitude(kind: str, v: int) -> float:
@@ -80,13 +84,15 @@ def save_graph(graph: StarGraph, path) -> None:
 
 
 def load_graph(path) -> StarGraph:
-    """Read a graph saved by `save_graph`; every edge length must be finite and positive."""
+    """Read a graph saved by `save_graph`; v and seed are ints, every edge length finite and positive."""
     with open(path) as fh:
         payload = json.load(fh)
+    require_int("v", payload["v"])
+    require_int("seed", payload["seed"])
     graph = StarGraph(
-        v=int(payload["v"]),
+        v=payload["v"],
         lengths=tuple(float(x) for x in payload["lengths"]),
-        seed=int(payload["seed"]),
+        seed=payload["seed"],
     )
     if len(graph.lengths) != graph.v:
         raise ValueError("length list does not match v")

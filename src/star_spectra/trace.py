@@ -23,15 +23,15 @@ from itertools import combinations
 
 import numpy as np
 
+from ._guards import require_int
 from .graph import StarGraph
 from .orbits import class_weight
 from .spectrum import Spectrum
 
 __all__ = ["SmoothedDensity", "density_from_orbits", "density_from_spectrum"]
 
-# density_from_orbits refuses requests of more than this many words v^k_max;
-# the class sum needs far fewer terms, but this stays the request bound
-_MAX_WORDS = 10**7
+# density_from_orbits refuses requests of more than this many class terms
+_MAX_TERMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def _class_terms(graph: StarGraph, k_max: int):
     """Lengths l(n) and coefficients l(n) W(n) of every class up to k_max.
 
     One term per visit-count vector n, that is per subset of j edges and
-    positive composition of k <= k_max over it: sum_k sum_j C(v, j) C(k-1, j-1).
+    positive composition of k <= k_max over it: sum_k sum_j C(v, j) C(k-1, j-1),
+    which is C(v + k_max, k_max) - 1 (the nonzero n in N^v with sum <= k_max).
     """
     l = graph.lengths_array()
     lengths, coefs = [np.empty(0)], [np.empty(0)]
@@ -95,23 +96,22 @@ def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> Smo
 
     One cosine per visit-count class (edge subset and composition of k),
     weighted by its exact class weight; the tests hold it against the
-    word-by-word necklace sum.  _MAX_WORDS still bounds the request by the
-    v^k_max words it stands for.  k_max=0 returns the bare Weyl density.
+    word-by-word necklace sum.  A request of more than _MAX_TERMS classes is
+    refused before any is built.  k_max=0 returns the bare Weyl density.
     """
     _require_width(sigma)
-    if isinstance(k_max, bool) or not isinstance(k_max, int):
-        raise ValueError(f"k_max must be an int, got {k_max!r}")
+    require_int("k_max", k_max)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    # from k_max = the budget's bit length on, 2^k_max alone exceeds it, so a
-    # refusal there needs no v^k_max built
-    if graph.v > 1 and (
-        k_max >= _MAX_WORDS.bit_length() or graph.v**k_max > _MAX_WORDS
-    ):
-        raise ValueError(
-            f"orbit enumeration v^k_max = {graph.v}^{k_max} exceeds the "
-            f"budget of {_MAX_WORDS} words"
-        )
+    # C(v + k_max, k_max) - 1 terms, with C(n + i, i) built up exactly for
+    # n = max(v, k_max); as C(n + i, i) >= 2^i, a refusal takes at most 20 steps
+    n, terms = max(graph.v, k_max), 1
+    for i in range(1, min(graph.v, k_max) + 1):
+        terms = terms * (n + i) // i
+        if terms - 1 > _MAX_TERMS:
+            raise ValueError(
+                f"the orbit sum at v={graph.v}, k_max={k_max} needs more than {_MAX_TERMS} class terms"
+            )
     grid = np.asarray(grid, dtype=float)
     values = np.full_like(grid, graph.total_length / (2.0 * np.pi))
     lengths, coefs = _class_terms(graph, k_max)

@@ -11,14 +11,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from ._guards import require_int
+
 __all__ = ["worker_count"]
 
 
 def worker_count(requested=None) -> int:
     """Worker cap: explicit request, STAR_SPECTRA_THREADS, then cpu count."""
     if requested is not None:
-        if isinstance(requested, bool) or not isinstance(requested, int):
-            raise ValueError(f"worker count must be an int, got {requested!r}")
+        require_int("worker count", requested)
         count = requested
     else:
         env = os.environ.get("STAR_SPECTRA_THREADS", "").strip()

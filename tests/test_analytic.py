@@ -8,6 +8,9 @@ from math import factorial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from star_spectra import (
     DEFAULT_TRUNCATION,
@@ -22,7 +25,6 @@ from star_spectra import (
     f3_coefficients,
     f4,
     f4_coefficients,
-    f_components,
     f_expansion,
     f_total,
     k_formfactor,
@@ -34,14 +36,13 @@ from star_spectra import analytic
 from star_spectra.analytic import (
     _c_row,
     _conv,
-    _f2_rows,
-    _f2_square,
     _f3_blocks,
     _f3_collapse,
     _f3_edge_tensor,
     _f4_block_matrix,
     _f4_poly,
     _f12_table,
+    _f34_rule,
     _f34_table,
     _gl_panels,
     _k_poly,
@@ -409,8 +410,9 @@ def test_f2_refinement_guard_fires_on_coarse_rule(monkeypatch):
     monkeypatch.setenv("STAR_SPECTRA_THREADS", "2")
     monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 2 * 2 * coarse.quad_points**2)
     threads = threading.active_count()
+    nodes = _gl_panels(16, 0.0, 4.0)[0]
     with pytest.raises(QuadratureError):
-        _f2_square(_gl_panels(16, 0.0, 4.0)[0], coarse.quad_points)
+        f2(nodes[:, None], nodes[None, :], coarse)
     assert threading.active_count() == threads
 
 
@@ -564,7 +566,7 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
     trunc = Truncation(j_max=3, m_max=2, quad_points=16)
     old_loop = np.empty((nodes.size, nodes.size))
     for i, tau in enumerate(nodes):
-        old_loop[i, i:] = _f2_rows(float(tau), nodes[i:], trunc.quad_points)
+        old_loop[i, i:] = f2(float(tau), nodes[i:], trunc)
         old_loop[i:, i] = old_loop[i, i:]
     threads = threading.active_count()
     for count in ("1", "2", "3"):
@@ -574,10 +576,10 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
         for got, want in zip(f3_blocks, _f3_blocks(5, 4)):
             assert np.array_equal(got, want)
         assert np.array_equal(_f4_block_matrix.__wrapped__(4, 8), _f4_block_matrix(4, 8))
-        assert np.array_equal(_f2_square(nodes, trunc.quad_points), old_loop)
+        assert np.array_equal(f2(nodes[:, None], nodes[None, :], trunc), old_loop)
         # rows cut into chunks of 3 columns (2n x n evaluated cells each)
         monkeypatch.setattr(analytic, "_F2_TASK_CELLS", 3 * 2 * trunc.quad_points**2)
-        assert np.array_equal(_f2_square(nodes, trunc.quad_points), old_loop)
+        assert np.array_equal(f2(nodes[:, None], nodes[None, :], trunc), old_loop)
         monkeypatch.undo()
         assert threading.active_count() == threads
 
@@ -637,22 +639,49 @@ def test_kernel_grids_match_scalar_views():
         (np.linspace(0.0, 1.0, 6), SMALL),
         (np.array([0.0, 0.001, 0.002]), DEFAULT_TRUNCATION),
     ):
-        grids = f_components(taus, trunc)
         views = (
             f1,
             lambda a, b: f2(a, b, trunc),
             lambda a, b: f3(a, b, trunc),
             lambda a, b: f4(a, b, trunc),
         )
+        grids = [fn(taus[:, None], taus[None, :]) for fn in views]
         want = [np.array([[fn(a, b) for b in taus] for a in taus]) for fn in views]
         assert np.array_equal(grids[0], want[0])
         assert np.array_equal(grids[1], want[1])
         assert np.abs(grids[2] - want[2]).max() <= 1e-9
         assert np.array_equal(grids[2], grids[2].T)
         assert np.array_equal(grids[3], want[3])
-    for bad in ([0.5, 0.2], [0.0, 1.2], [-0.1, 0.3]):
+    for bad in ([0.0, 1.2], [-0.1, 0.3]):
         with pytest.raises(ValueError):
-            f_components(bad, SMALL)
+            f3(np.array(bad)[:, None], np.array(bad)[None, :], SMALL)
+
+
+# small enough that each example is cheap; the first one builds its tables
+ARRAY_FIRST = Truncation(j_max=3, m_max=4, quad_points=16)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_kernel_components_are_array_first(data):
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, min_side=0, max_side=3))
+    unit = st.floats(0.0, 1.0)
+    tau, tau_p = (data.draw(hnp.arrays(float, shape, elements=unit)) for shape in shapes.input_shapes)
+    pairs = list(zip(*(a.ravel() for a in np.broadcast_arrays(tau, tau_p))))
+    for fn in (f1, f2, f3, f4):
+        def view(a, b):
+            return fn(a, b) if fn is f1 else fn(a, b, ARRAY_FIRST)
+
+        got = view(tau, tau_p)
+        assert np.shape(got) == shapes.result_shape
+        assert isinstance(got, float) == (shapes.result_shape == ())
+        want = np.reshape([view(float(a), float(b)) for a, b in pairs], shapes.result_shape)
+        if fn is f3:  # its series blocks are chosen once per call
+            assert np.all(np.abs(got - want) <= 1e-9)
+        else:
+            assert np.array_equal(got, want)
+        assert np.array_equal(view(tau_p, tau), got)
+        assert view(np.empty(0), 0.5).shape == (0,)
 
 
 def test_expansion_polynomial_definition():
@@ -737,6 +766,23 @@ def test_tables_are_cached_on_the_cutoffs_they_read():
     assert builds(_f34_table, by_quad, r3c) == 1
     by_quad = [Truncation(j_max=7, m_max=9, quad_points=q) for q in (16, 32)]
     assert builds(_k_poly, by_quad, lambda trunc: k_formfactor(0.1, trunc)) == 1
+
+
+def test_hooked_tables_are_not_built():
+    # a table that a hook replaces is neither built nor looked up (its cache
+    # misses and hits stay put); the hook gets the nodes of that table's rule
+    trunc = Truncation(j_max=3, m_max=2, quad_points=16)
+    seen = []
+
+    def zero(taus, tau_ps):
+        seen.append(taus)
+        return np.zeros((taus.size, tau_ps.size))
+
+    before = [table.cache_info() for table in (_f12_table, _f34_table)]
+    assert r3_connected(0.5, 1.0, trunc, f12=zero, f34=zero) == 0.0
+    assert [table.cache_info() for table in (_f12_table, _f34_table)] == before
+    assert np.array_equal(seen[0], _gl_panels(16, 0.0, trunc.tau_cutoff)[0])
+    assert np.array_equal(seen[1], _f34_rule(3, 2)[0])
 
 
 def test_r3_connected_matches_the_direct_cosine_sum():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from star_spectra import Truncation, build_graph, f_components, solve_spectrum
+from star_spectra import Truncation, build_graph, f1, f2, f3, f4, solve_spectrum
 from star_spectra.cli import main
 
 TINY = ("--j-max", "2", "--m-max", "4")  # keeps the block series empty
@@ -198,7 +198,8 @@ def test_trace_check_stops_at_lambda_max(tmp_path):
 
 
 def test_trace_check_takes_deep_single_edge_orbits(tmp_path):
-    # v=1 always passes the v^k budget; k_max=1500 must not exhaust the stack
+    # v=1 at k_max=1500 is 1,500 class terms, inside the budget; it must not
+    # exhaust the stack
     out = tmp_path / "density.csv"
     argv = ["trace-check", "--v", "1", "--kmax", "1500", "--lambda-max", "10"]
     assert main([*argv, "--out", str(out)]) == 0
@@ -261,7 +262,8 @@ def test_analytic_f_csv_cells_are_the_kernel_grids(tmp_path):
         [[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]
     )
     taus = np.array([0.0, 0.25, 0.5])
-    parts = f_components(taus, Truncation(j_max=3, m_max=8))
+    grid, trunc = (taus[:, None], taus[None, :]), Truncation(j_max=3, m_max=8)
+    parts = (f1(*grid), f2(*grid, trunc), f3(*grid, trunc), f4(*grid, trunc))
     for column, part in enumerate(parts, start=2):
         assert np.array_equal(cells[:, column], part.ravel())
     assert np.array_equal(cells[:, 6], sum(parts).ravel())
@@ -389,12 +391,15 @@ def test_compare_refuses_csv_without_manifest(tmp_path, capsys):
 def test_compare_refuses_manifest_without_ensemble(tmp_path, capsys):
     data = tmp_path / "trace.csv"
     data.write_text("x,estimate,stderr,pairs\n0.5,1,0.1,100\n")
-    Path(str(data) + ".manifest.json").write_text(
-        json.dumps({"command": "x", "config": {"kmax": 6}, "outputs": {}})
-    )
-    code = main(["compare", "--input", str(data), "--out", str(tmp_path / "c.csv")])
-    assert code == 1
-    assert "no ensemble metadata" in capsys.readouterr().err
+    # a trace manifest, an estimator `analytic` knows but no ensemble
+    # estimates, and an estimator name that is not a string
+    for config in ({"kmax": 6}, {"estimator": "k", "ensemble": {}}, {"estimator": ["r2"], "ensemble": {}}):
+        Path(str(data) + ".manifest.json").write_text(
+            json.dumps({"command": "x", "config": config, "outputs": {}})
+        )
+        code = main(["compare", "--input", str(data), "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "no ensemble metadata" in capsys.readouterr().err
 
 
 def test_compare_refuses_to_overwrite_its_input(tmp_path, r2_run, capsys):

@@ -37,6 +37,12 @@ def test_zero_edges_rejected():
         build_graph(0, seed=1)
 
 
+def test_counts_are_never_coerced():
+    for v, seed, name in ((2.5, 1, "v"), (True, 1, "v"), (3, True, "seed"), (3, 1.0, "seed"), (3, "7", "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            build_graph(v, seed)
+
+
 def test_amplitude_values_and_exact_offset():
     for v in range(1, 40):
         back = s_amplitude("backscatter", v)
@@ -77,6 +83,12 @@ def test_inconsistent_graph_file_rejected(tmp_path):
     path.write_text(json.dumps({"v": 3, "seed": 0, "lengths": [1.0, 1.0]}))
     with pytest.raises(ValueError):
         load_graph(path)
+    # v and seed are read as saved, never coerced
+    one_edge = {"v": 1, "seed": 0, "lengths": [1.0]}
+    for field, bad in (("seed", 1.5), ("v", True), ("v", "1"), ("seed", "7")):
+        path.write_text(json.dumps({**one_edge, field: bad}))
+        with pytest.raises(ValueError, match=field):
+            load_graph(path)
 
 
 def test_negative_seed_rejected():

@@ -130,14 +130,27 @@ def test_one_term_per_edge_subset_and_composition():
 
 
 def test_orbit_budget_guard():
+    # the budget counts class terms, C(v + k_max, k_max) - 1: 8.3e6 at
+    # v=5, k_max=60, and a single edge has one term per k
     graph = build_graph(5, seed=1)
     grid = np.linspace(5.0, 10.0, 5)
-    with pytest.raises(ValueError):
-        density_from_orbits(graph, grid, 0.1, k_max=12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="class terms"):
+        density_from_orbits(graph, grid, 0.1, k_max=60)
+    with pytest.raises(ValueError, match="class terms"):
         density_from_orbits(graph, grid, 0.1, k_max=10**7)
+    with pytest.raises(ValueError, match="class terms"):
+        density_from_orbits(build_graph(1, seed=1), grid, 0.1, k_max=10**6 + 1)
     with pytest.raises(ValueError):
         density_from_orbits(graph, grid, 0.1, k_max=-1)
+
+
+def test_deep_orbit_sum_meets_the_exact_density():
+    # criterion 09's graph at k_max = 20 takes 1,770 class terms; the
+    # 3^20 words they stand for are not a budget
+    graph = build_graph(3, seed=7)
+    grid = np.arange(5.0, 50.0 + 0.025, 0.05)
+    exact = density_from_spectrum(solve_spectrum(graph, 51.0), grid, 0.1).values
+    assert _rel_l2(density_from_orbits(graph, grid, 0.1, k_max=20).values, exact) < 5e-5
 
 
 def test_orbit_cutoff_must_be_an_int():
