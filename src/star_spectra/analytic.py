@@ -257,7 +257,8 @@ def _k_poly(j_max: int, m_max: int) -> np.ndarray:
     for j in range(2, j_max + 1):
         nxt = np.zeros_like(conv)
         for a, b in support:
-            nxt[a:, b:] += pair[a, b] * conv[: m_max + 1 - a, : m_max + 1 - b]
+            r = m_max + 1 - a - b  # the shifted square that holds the triangle's cells
+            nxt[a : a + r, b : b + r] += pair[a, b] * conv[:r, :r]
         conv = np.where(inside, nxt, 0)
         terms = (conv * fact[k + j - 1] * fact[n + j - 1])[inside] / fact[(k + n + j - 1)[inside]]
         row = np.zeros(m_max + 1, dtype=_LONG)
@@ -641,14 +642,19 @@ def _f4_cells(j: int, m_max: int) -> int:
 
 @lru_cache(maxsize=None)
 def _f3_edge_tensor(m_max: int) -> np.ndarray:
-    """Positive per-edge weights indexed [t, t', t'', s], components <= m_max."""
-    tensor = np.zeros((m_max + 1, m_max + 1, m_max + 1, m_max), dtype=_LONG)
+    """Positive per-edge weights indexed [t - 1, t' - 1, t'' - 1, s], components 1..m_max.
+
+    Each of t, t', t'' is at least 1, so the tensor starts at that index: its
+    j-fold convolution is the chain indexed [T - j, T' - j, T'' - j, S], which
+    drops the j all-zero planes below T = j on each of the three axes.
+    """
+    tensor = np.zeros((m_max, m_max, m_max, m_max), dtype=_LONG)
     for t in range(1, m_max + 1):
         for tp in range(1, m_max + 1):
             for tpp in range(1, m_max + 1):
                 base = factorial(t) * factorial(tp) * factorial(tpp)
                 for s in range(0, tpp):
-                    tensor[t, tp, tpp, s] = float(
+                    tensor[t - 1, tp - 1, tpp - 1, s] = float(
                         Fraction(comb(s + t - 1, s) * comb(tpp + tp - s - 2, tp - 1), base)
                     )
     return tensor
@@ -751,21 +757,24 @@ def _f3_collapse(acc: np.ndarray, j: int) -> np.ndarray:
     """Inner-polynomial coefficient matrix c[a, b] of F3 block j (longdouble).
 
     `acc` is the j-edge positive tensor convolution over the per-edge
-    indices; this collapses it onto monomials.  The sign and 2-power depend
-    only on a + b + j, so each c[a, b] is a purely positive group sum times
-    (-2)^(a+b+j) -- no cancellation occurs until evaluation.
+    indices, indexed [T - j, T' - j, T'' - j, S] from its first nonzero
+    index (`_f3_edge_tensor`); this collapses it onto monomials.  The sign
+    and 2-power depend only on a + b + j, so each c[a, b] is a purely
+    positive group sum times (-2)^(a+b+j) -- no cancellation occurs until
+    evaluation.
     """
-    n_t, n_tp, n_ts, n_s = acc.shape
+    n_t, n_tp, n_ts = (n + j for n in acc.shape[:3])  # T < n_t, T' < n_tp, T'' < n_ts
+    n_s = acc.shape[3]
     size = n_t + n_s  # a = T + S < n_t + n_s; b < n_tp + n_ts - j
     mat = np.zeros((size, size), dtype=_LONG)
     lf = _log_factorials(n_tp + n_ts + 2)
-    tp_idx = np.arange(n_tp)
-    ts_idx = np.arange(n_ts)
-    log_tp = np.where(tp_idx >= 1, lf[np.maximum(tp_idx - 1, 0)], 0.0)
-    log_ts = np.where(ts_idx >= 1, lf[np.maximum(ts_idx - 1, 0)], 0.0)
+    tp_idx = np.arange(j, n_tp)
+    ts_idx = np.arange(j, n_ts)
+    log_tp = lf[tp_idx - 1]
+    log_ts = lf[ts_idx - 1]
     for t_sum in range(j, n_t):
         for s_sum in range(0, n_s):
-            plane = acc[t_sum, :, :, s_sum]
+            plane = acc[t_sum - j, :, :, s_sum]
             mask = plane > 0
             if not mask.any():
                 continue
@@ -797,10 +806,12 @@ def _f3_blocks(j_hi: int, m_max: int) -> tuple:
     Each block aggregates the full component-capped sum: the j-edge tensor
     convolution, collapsed by `_f3_collapse` on the way up, so block j
     reuses the j-1 convolutions of the blocks below it.  Only the current
-    chain tensor is held.
+    chain tensor is held, indexed [T - j, T' - j, T'' - j, S] from its first
+    nonzero index: (j(m_max-1)+1)^4 cells.
     """
     if j_hi < 3:
         raise ValueError("F3 blocks start at j = 3")
+    # the padded layout's count, an upper bound on the chain's largest tensor
     _require_cells((j_hi * m_max + 1) ** 3 * (j_hi * (m_max - 1) + 1), j_hi, m_max)
     edge = _f3_edge_tensor(m_max)
     acc = edge.copy()
@@ -862,14 +873,16 @@ def _block_sum(blocks, taus: np.ndarray, tau_ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np.ndarray:
+def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int, top=None) -> np.ndarray:
     """F3 on taus x tau_ps from the blocks whose bound clears _BLOCK_FLOOR.
 
     Block j's leading term (tau tau')^j (tau + tau'), of magnitude 2^(3j+1)/j,
-    is bounded at the grid maxima; the factor 100 absorbs the block's tail.
+    is bounded at `top`, the largest (tau, tau') -- the grid maxima unless
+    given; the factor 100 absorbs the block's tail.
     """
-    prod_max = float(np.max(taus) * np.max(tau_ps))
-    sum_max = float(np.max(taus) + np.max(tau_ps))
+    tau_top, tau_p_top = (np.max(taus), np.max(tau_ps)) if top is None else top
+    prod_max = float(tau_top * tau_p_top)
+    sum_max = float(tau_top + tau_p_top)
     kept = []
     for j in range(3, j_max + 1):
         lead = 2.0 ** (3 * j + 1) / j
@@ -894,21 +907,42 @@ def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np
 _SERIES_UPPER = 1.0
 
 
+# Cells of one row chunk of `_on_distinct_grid`: each longdouble block sum
+# then holds 4 MB, however many scattered pairs a call asks for.  Each chunk
+# recomputes the hi side's powers, so much smaller chunks cost time.
+_GRID_CHUNK_CELLS = 2**18
+
+
 def _on_distinct_grid(grid, lo, hi, trunc: Truncation) -> np.ndarray:
-    """`grid` once on the distinct lo values x the distinct hi values, read at each pair."""
+    """`grid` on the distinct lo values x the distinct hi values, read at each pair.
+
+    The distinct lo values run in row chunks of at most `_GRID_CHUNK_CELLS`
+    cells (at least one row).  A grid row is a function of its own lo value
+    alone, so the chunking changes no bit.
+    """
     los, row = np.unique(lo, return_inverse=True)
     his, col = np.unique(hi, return_inverse=True)
-    return grid(los, his, trunc.j_max, trunc.m_max)[row, col]
+    step = max(1, _GRID_CHUNK_CELLS // his.size)
+    out = np.empty(lo.size)
+    for start in range(0, los.size, step):
+        take = np.flatnonzero((row >= start) & (row < start + step))
+        values = grid(los[start : start + step], his, trunc.j_max, trunc.m_max)
+        out[take] = values[row[take] - start, col[take]]
+    return out
 
 
 def f3(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
     """Third kernel component (triple-index alternating series), on [0,1]^2.
 
     Its series blocks are chosen once per call, at the largest lo and hi
-    (`_f3_grid`); those an array call keeps beyond a scalar call's are below
-    the 1e-9 omission floor (`_BLOCK_FLOOR`), so the two differ by no more.
+    (`_f3_grid`'s `top`, the same for every row chunk); those an array call
+    keeps beyond a scalar call's are below the 1e-9 omission floor
+    (`_BLOCK_FLOOR`), so the two differ by no more.
     """
-    return _pairwise(lambda lo, hi: _on_distinct_grid(_f3_grid, lo, hi, trunc), tau, tau_p, _SERIES_UPPER)
+    def on_pairs(lo, hi):
+        return _on_distinct_grid(partial(_f3_grid, top=(lo.max(), hi.max())), lo, hi, trunc)
+
+    return _pairwise(on_pairs, tau, tau_p, _SERIES_UPPER)
 
 
 def f4(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):

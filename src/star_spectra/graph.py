@@ -44,14 +44,19 @@ class StarGraph:
         return np.asarray(self.lengths, dtype=float)
 
 
-def build_graph(v: int, seed: int) -> StarGraph:
-    """Draw a star graph with v edges, lengths uniform on [1-1/(2v), 1+1/(2v)]."""
+def _require_v_and_seed(v, seed) -> None:
+    """A graph has at least one edge and a nonnegative int seed, drawn or loaded."""
     require_int("v", v)
     require_int("seed", seed)
     if v < 1:
         raise ValueError(f"need at least one edge, got v={v}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def build_graph(v: int, seed: int) -> StarGraph:
+    """Draw a star graph with v edges, lengths uniform on [1-1/(2v), 1+1/(2v)]."""
+    _require_v_and_seed(v, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     lo = 1.0 - 1.0 / (2 * v)
     lengths = lo + rng.random(v) * (1.0 / v)
@@ -84,11 +89,13 @@ def save_graph(graph: StarGraph, path) -> None:
 
 
 def load_graph(path) -> StarGraph:
-    """Read a graph saved by `save_graph`; v and seed are ints, every edge length finite and positive."""
+    """Read a graph saved by `save_graph`.
+
+    v and seed pass `build_graph`'s checks; every edge length is finite and positive.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    require_int("v", payload["v"])
-    require_int("seed", payload["seed"])
+    _require_v_and_seed(payload["v"], payload["seed"])
     graph = StarGraph(
         v=payload["v"],
         lengths=tuple(float(x) for x in payload["lengths"]),

@@ -1,9 +1,11 @@
 """Closed-form and series evaluators: kernels, form factor, correlations."""
 
+import itertools
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +48,7 @@ from star_spectra.analytic import (
     _f34_table,
     _gl_panels,
     _k_poly,
+    _log_factorials,
 )
 
 # blocks of the two-variable series start at j = 3, so this cutoff keeps
@@ -514,6 +517,79 @@ def _dense_conv(acc, edge):
     return out
 
 
+def _padded_collapse(acc, j):
+    # the collapse of a chain indexed [T, T', T'', S] from index 0
+    n_t, n_tp, n_ts, n_s = acc.shape
+    size = n_t + n_s
+    mat = np.zeros((size, size), dtype=np.longdouble)
+    lf = _log_factorials(n_tp + n_ts + 2)
+    tp_idx = np.arange(n_tp)
+    ts_idx = np.arange(n_ts)
+    log_tp = np.where(tp_idx >= 1, lf[np.maximum(tp_idx - 1, 0)], 0.0)
+    log_ts = np.where(ts_idx >= 1, lf[np.maximum(ts_idx - 1, 0)], 0.0)
+    for t_sum in range(j, n_t):
+        for s_sum in range(0, n_s):
+            plane = acc[t_sum, :, :, s_sum]
+            a = t_sum + s_sum
+            b = tp_idx[:, None] + ts_idx[None, :] - s_sum - j
+            valid = (plane > 0) & (b >= 1)
+            if not valid.any():
+                continue
+            log_r = lf[t_sum - 1] + log_tp[:, None] + log_ts[None, :] - lf[a - 1] - lf[np.maximum(b - 1, 0)]
+            vals = np.where(valid, np.exp(np.log(np.where(valid, plane, 1.0)) + log_r), 0.0)
+            np.add.at(mat[a], np.minimum(np.maximum(b, 0), size - 1).ravel(), vals.ravel())
+    signs = np.power(np.longdouble(-2.0), np.arange(size, dtype=np.longdouble))
+    mat *= np.outer(signs, signs) * (np.longdouble(-2.0) ** j * np.longdouble(2.0) / factorial(j))
+    return (mat + mat.T) / np.longdouble(2.0)
+
+
+def _padded_f3_blocks(j_hi, m_max):
+    """F3 blocks 3..j_hi with the chain stored from index 0 on T, T' and T''.
+
+    The package stores the chain from its first nonzero index, T = j; this
+    is the padded layout, built with its own edge tensor [t, t', t'', s], the
+    plain shifted-add loop and a collapse that reads T, T', T'' directly.
+    """
+    edge = np.zeros((m_max + 1,) * 3 + (m_max,), dtype=np.longdouble)
+    for t, tp, tpp in itertools.product(range(1, m_max + 1), repeat=3):
+        base = factorial(t) * factorial(tp) * factorial(tpp)
+        for s in range(tpp):
+            edge[t, tp, tpp, s] = float(Fraction(comb(s + t - 1, s) * comb(tpp + tp - s - 2, tp - 1), base))
+    acc, blocks = edge, []
+    for j in range(2, j_hi + 1):
+        acc = _dense_conv(acc, edge)
+        if j >= 3:
+            blocks.append(_padded_collapse(acc, j))
+    return blocks
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 4])
+def test_f3_blocks_equal_the_padded_layout(m_max):
+    # the dropped planes below T = j only ever held +0.0, so no bit moves
+    blocks = _f3_blocks(5, m_max)
+    want = _padded_f3_blocks(5, m_max)
+    assert len(blocks) == len(want) == 3
+    for got, ref in zip(blocks, want):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_f3_chain_memory_follows_its_support(monkeypatch):
+    # The j = 5 chain at m_max = 4 holds (5 * 3 + 1)^4 cells from its first
+    # nonzero index.  Its build holds that output, the j = 4 input (0.44 of
+    # it) and one product buffer per thread no larger than the input; the
+    # padded layout's j = 5 tensor alone, 21^3 x 16 cells, is 2.26 of it.
+    monkeypatch.setenv("STAR_SPECTRA_THREADS", "2")
+    _f3_edge_tensor(4)  # cached before the trace
+    support_bytes = (5 * 3 + 1) ** 4 * np.dtype(np.longdouble).itemsize
+    tracemalloc.start()
+    try:
+        _f3_blocks.__wrapped__(5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * support_bytes
+
+
 def _recorded_conv_inputs(monkeypatch, build, *args):
     """(acc, edge) of every `_conv` call an uncached table build makes."""
     calls = []
@@ -582,6 +658,24 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
         assert np.array_equal(f2(nodes[:, None], nodes[None, :], trunc), old_loop)
         monkeypatch.undo()
         assert threading.active_count() == threads
+
+
+def test_scattered_pairs_are_bitwise_independent_of_the_row_chunks(monkeypatch):
+    # one-row chunks must give the bits of the whole distinct-lo x distinct-hi
+    # grid; the row of lo = 1e-4 alone would drop F3's blocks j >= 4, so this
+    # also checks that F3's blocks are chosen once, at the call's maxima
+    rng = np.random.default_rng(2020)
+    tau, tau_p = np.append(rng.random((2, 120)), [[1e-4], [1.0]], axis=1)
+    lo, hi = np.minimum(tau, tau_p), np.maximum(tau, tau_p)
+    los, row = np.unique(lo, return_inverse=True)
+    his, col = np.unique(hi, return_inverse=True)
+    trunc = Truncation(j_max=5, m_max=4)
+    want3 = analytic._f3_grid(los, his, trunc.j_max, trunc.m_max)[row, col]
+    want4 = analytic._f4_grid(los, his, trunc.j_max, trunc.m_max)[row, col]
+    for cells in (analytic._GRID_CHUNK_CELLS, 1):
+        monkeypatch.setattr(analytic, "_GRID_CHUNK_CELLS", cells)
+        assert np.array_equal(f3(tau, tau_p, trunc), want3)
+        assert np.array_equal(f4(tau_p, tau, trunc), want4)
 
 
 def test_oversized_series_tables_raise_before_building(monkeypatch):

@@ -89,6 +89,14 @@ def test_inconsistent_graph_file_rejected(tmp_path):
         path.write_text(json.dumps({**one_edge, field: bad}))
         with pytest.raises(ValueError, match=field):
             load_graph(path)
+    # and refused where `build_graph` refuses them
+    for payload, message in (
+        ({"v": 0, "seed": 0, "lengths": []}, "need at least one edge"),
+        ({**one_edge, "seed": -1}, "seed must be nonnegative"),
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_graph(path)
 
 
 def test_negative_seed_rejected():
