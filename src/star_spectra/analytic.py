@@ -873,16 +873,14 @@ def _block_sum(blocks, taus: np.ndarray, tau_ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int, top=None) -> np.ndarray:
+def _f3_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np.ndarray:
     """F3 on taus x tau_ps from the blocks whose bound clears _BLOCK_FLOOR.
 
     Block j's leading term (tau tau')^j (tau + tau'), of magnitude 2^(3j+1)/j,
-    is bounded at `top`, the largest (tau, tau') -- the grid maxima unless
-    given; the factor 100 absorbs the block's tail.
+    is bounded at the grid maxima; the factor 100 absorbs the block's tail.
     """
-    tau_top, tau_p_top = (np.max(taus), np.max(tau_ps)) if top is None else top
-    prod_max = float(tau_top * tau_p_top)
-    sum_max = float(tau_top + tau_p_top)
+    prod_max = float(np.max(taus) * np.max(tau_ps))
+    sum_max = float(np.max(taus) + np.max(tau_ps))
     kept = []
     for j in range(3, j_max + 1):
         lead = 2.0 ** (3 * j + 1) / j
@@ -907,42 +905,21 @@ def _f4_grid(taus: np.ndarray, tau_ps: np.ndarray, j_max: int, m_max: int) -> np
 _SERIES_UPPER = 1.0
 
 
-# Cells of one row chunk of `_on_distinct_grid`: each longdouble block sum
-# then holds 4 MB, however many scattered pairs a call asks for.  Each chunk
-# recomputes the hi side's powers, so much smaller chunks cost time.
-_GRID_CHUNK_CELLS = 2**18
-
-
 def _on_distinct_grid(grid, lo, hi, trunc: Truncation) -> np.ndarray:
-    """`grid` on the distinct lo values x the distinct hi values, read at each pair.
-
-    The distinct lo values run in row chunks of at most `_GRID_CHUNK_CELLS`
-    cells (at least one row).  A grid row is a function of its own lo value
-    alone, so the chunking changes no bit.
-    """
+    """`grid` once on the distinct lo values x the distinct hi values, read at each pair."""
     los, row = np.unique(lo, return_inverse=True)
     his, col = np.unique(hi, return_inverse=True)
-    step = max(1, _GRID_CHUNK_CELLS // his.size)
-    out = np.empty(lo.size)
-    for start in range(0, los.size, step):
-        take = np.flatnonzero((row >= start) & (row < start + step))
-        values = grid(los[start : start + step], his, trunc.j_max, trunc.m_max)
-        out[take] = values[row[take] - start, col[take]]
-    return out
+    return grid(los, his, trunc.j_max, trunc.m_max)[row, col]
 
 
 def f3(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):
     """Third kernel component (triple-index alternating series), on [0,1]^2.
 
     Its series blocks are chosen once per call, at the largest lo and hi
-    (`_f3_grid`'s `top`, the same for every row chunk); those an array call
-    keeps beyond a scalar call's are below the 1e-9 omission floor
-    (`_BLOCK_FLOOR`), so the two differ by no more.
+    (`_f3_grid`); those an array call keeps beyond a scalar call's are below
+    the 1e-9 omission floor (`_BLOCK_FLOOR`), so the two differ by no more.
     """
-    def on_pairs(lo, hi):
-        return _on_distinct_grid(partial(_f3_grid, top=(lo.max(), hi.max())), lo, hi, trunc)
-
-    return _pairwise(on_pairs, tau, tau_p, _SERIES_UPPER)
+    return _pairwise(lambda lo, hi: _on_distinct_grid(_f3_grid, lo, hi, trunc), tau, tau_p, _SERIES_UPPER)
 
 
 def f4(tau, tau_p, trunc: Truncation = DEFAULT_TRUNCATION):

@@ -62,12 +62,10 @@ def density_from_spectrum(spectrum: Spectrum, grid, sigma: float) -> SmoothedDen
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     eigs = spectrum.eigenvalues
     for rows in _row_chunks(len(eigs), grid):
-        # one (rows x grid) buffer: exp(-(grid - eig)^2 / (2 sigma^2)), in place
-        gauss = np.subtract(grid[None, :], eigs[rows, None])
-        np.square(gauss, out=gauss)
-        np.negative(gauss, out=gauss)
-        np.divide(gauss, 2.0 * sigma * sigma, out=gauss)
-        values += norm * np.exp(gauss, out=gauss).sum(axis=0)
+        chunk = eigs[rows]
+        values += norm * np.exp(
+            -((grid[None, :] - chunk[:, None]) ** 2) / (2.0 * sigma * sigma)
+        ).sum(axis=0)
     return SmoothedDensity(grid=grid, values=values, sigma=float(sigma), max_period=0)
 
 
@@ -119,8 +117,7 @@ def density_from_orbits(graph: StarGraph, grid, sigma: float, k_max: int) -> Smo
     lengths, coefs = _class_terms(graph, k_max)
     weights = coefs * np.exp(-0.5 * (sigma * lengths) ** 2)
     for rows in _row_chunks(len(lengths), grid):
-        phases = np.multiply.outer(lengths[rows], grid)
-        values += weights[rows] @ np.cos(phases, out=phases) / np.pi
+        values += weights[rows] @ np.cos(np.multiply.outer(lengths[rows], grid)) / np.pi
     return SmoothedDensity(
         grid=grid, values=values, sigma=float(sigma), max_period=2 * k_max
     )

@@ -660,24 +660,6 @@ def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
         assert threading.active_count() == threads
 
 
-def test_scattered_pairs_are_bitwise_independent_of_the_row_chunks(monkeypatch):
-    # one-row chunks must give the bits of the whole distinct-lo x distinct-hi
-    # grid; the row of lo = 1e-4 alone would drop F3's blocks j >= 4, so this
-    # also checks that F3's blocks are chosen once, at the call's maxima
-    rng = np.random.default_rng(2020)
-    tau, tau_p = np.append(rng.random((2, 120)), [[1e-4], [1.0]], axis=1)
-    lo, hi = np.minimum(tau, tau_p), np.maximum(tau, tau_p)
-    los, row = np.unique(lo, return_inverse=True)
-    his, col = np.unique(hi, return_inverse=True)
-    trunc = Truncation(j_max=5, m_max=4)
-    want3 = analytic._f3_grid(los, his, trunc.j_max, trunc.m_max)[row, col]
-    want4 = analytic._f4_grid(los, his, trunc.j_max, trunc.m_max)[row, col]
-    for cells in (analytic._GRID_CHUNK_CELLS, 1):
-        monkeypatch.setattr(analytic, "_GRID_CHUNK_CELLS", cells)
-        assert np.array_equal(f3(tau, tau_p, trunc), want3)
-        assert np.array_equal(f4(tau_p, tau, trunc), want4)
-
-
 def test_oversized_series_tables_raise_before_building(monkeypatch):
     def never(*args):
         raise AssertionError("a table build started")
