@@ -27,11 +27,11 @@ kernel components are array-first: a scalar call returns a float, an array
 call an array of the broadcast shape.  Coefficient tables are cached on the
 cutoffs they read and safe to share across threads.
 
-The two cold builds behind a first R3 evaluation, the F3 chain convolution
-(`_conv`) and the F2 pair engine under the F1+F2 table (`_f2_pairs`), run on
-`worker_count()` threads (`STAR_SPECTRA_THREADS`, else the CPU count).  Each
-thread writes a disjoint part of the output, and every output value gets the
-same operations in the same order as on one thread, so the tables are
+The two cold builds behind a first R3 evaluation, the F3 chain step
+(`_f3_step`) and the F2 pair engine under the F1+F2 table (`_f2_pairs`), run
+on `worker_count()` threads (`STAR_SPECTRA_THREADS`, else the CPU count).
+Each thread writes a disjoint part of the output, and every output value gets
+the same operations in the same order as on one thread, so the tables are
 bitwise independent of the thread count.  The threads end with the build.
 """
 
@@ -640,13 +640,20 @@ def _f4_cells(j: int, m_max: int) -> int:
     return m_max * (j * m_max + 1) ** 2
 
 
+def _f3_cells(j: int, m_max: int) -> int:
+    """Stored cells of the j-edge F3 chain: n^2 (q + 1) per T'' plane q < n, n = j(m_max-1)+1."""
+    n = j * (m_max - 1) + 1
+    return n * n * n * (n + 1) // 2
+
+
 @lru_cache(maxsize=None)
 def _f3_edge_tensor(m_max: int) -> np.ndarray:
     """Positive per-edge weights indexed [t - 1, t' - 1, t'' - 1, s], components 1..m_max.
 
-    Each of t, t', t'' is at least 1, so the tensor starts at that index: its
-    j-fold convolution is the chain indexed [T - j, T' - j, T'' - j, S], which
-    drops the j all-zero planes below T = j on each of the three axes.
+    Each of t, t', t'' is at least 1, so the tensor starts at that index, and
+    s < t'' holds its weights in the triangle s <= t'' - 1.  Chained over j
+    edges (`_f3_step`) it gives the chain indexed [T - j, T' - j, T'' - j, S],
+    whose nonzeros fill the triangle S <= T'' - j exactly.
     """
     tensor = np.zeros((m_max, m_max, m_max, m_max), dtype=_LONG)
     for t in range(1, m_max + 1):
@@ -660,88 +667,60 @@ def _f3_edge_tensor(m_max: int) -> np.ndarray:
     return tensor
 
 
-def _balanced_ranges(boxes: list, edge: np.ndarray, axis: int, size: int, parts: int) -> list:
-    """Up to `parts` contiguous [lo, hi) ranges of the output along `axis`.
-
-    Each range receives about the same number of products: output plane p
-    gets, per box, one product per box cell in a plane for each edge weight
-    whose offset along `axis` maps a box plane onto p.
-    """
-    hits = np.bincount(np.nonzero(edge)[axis], minlength=edge.shape[axis])
-    cost = np.zeros(size)
-    for starts, box in boxes:
-        depth = box.shape[axis]
-        lo = starts[axis]
-        cost[lo : lo + hits.size + depth - 1] += (box.size // depth) * np.convolve(hits, np.ones(depth))
-    total = np.cumsum(cost)
-    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
-    bounds = [0, *np.minimum(cuts, size).tolist(), size]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
 def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Full convolution of `acc` with `edge` over the nonzero support of `acc`.
+    """Full 2-D convolution of an F4 DP table with an edge table.
 
-    A 2-D `acc` (an F4 DP table, dense within its box) is one box.  Higher
-    ranks are cut into slabs of 2 along axis 2 (T'' for the F3 chain, whose
-    S range shrinks with T''), each trimmed to the bounding box of its
-    nonzeros.  Every nonzero edge weight, in `np.argwhere` order, adds its
-    products with each box into the shifted output window.  The result is
-    bitwise that of the dense loop `out[shift] += w * acc`: each output cell
-    receives the same products in the same order, the skipped terms are
-    exact +0.0 products, adding +0.0 leaves a nonnegative mass unchanged, and
-    for one edge weight disjoint slabs land in disjoint output windows.
-
-    Ranks above 2 run on `worker_count()` threads.  The output is cut along
-    axis 2 into contiguous ranges of about equal product counts, one per
-    thread; each thread walks all edge weights in the same order, with every
-    box clipped to its range, through its own product buffer.  An output
-    cell thus gets the same products in the same order from one thread,
-    whatever the thread count.  The output is stored first axis fastest, so
-    the strided adds run along the full T range instead of the short S rows;
-    the layout changes no value.
+    One shifted add of w * acc per nonzero edge weight w, in `np.argwhere`
+    order.
     """
-    shape = tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape))
-    out = np.zeros(shape[::-1], dtype=_LONG).T
-    axis = min(2, acc.ndim - 1)
-    before = (slice(None),) * axis
-    width = 2 if acc.ndim > 2 else acc.shape[axis]
-    boxes = []
-    for lo in range(0, acc.shape[axis], width):
-        nz = np.nonzero(acc[before + (slice(lo, lo + width),)])
-        if nz[0].size:
-            starts = [int(i.min()) for i in nz]
-            stops = [int(i.max()) + 1 for i in nz]
-            starts[axis] += lo
-            stops[axis] += lo
-            boxes.append((starts, acc[tuple(map(slice, starts, stops))]))
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(acc.shape, edge.shape)), dtype=_LONG)
+    for t, u in np.argwhere(edge):
+        window = out[t : t + acc.shape[0], u : u + acc.shape[1]]
+        window += edge[t, u] * acc
+    return out
+
+
+def _f3_step(planes: list, edge: np.ndarray) -> list:
+    """The F3 chain one edge longer: convolve its T'' planes with `edge`.
+
+    The chain of j edges is held as one block per T'' plane q = T'' - j,
+    indexed [T - j, T' - j, S] with S <= q: shape (n, n, q + 1) for
+    n = j(m_max-1)+1, so every stored cell is a positive mass (`_f3_cells`).
+    Each nonzero edge weight w at (t, t', t'', s), in `np.argwhere` order,
+    adds w * (plane q) into output plane q + t'' at (t, t', s).  Output cells
+    thus receive the products of the dense 4-D loop `out[shift] += w * acc`
+    in the same order, minus exact +0.0 products, which leave a nonnegative
+    mass unchanged.
+
+    The output planes are split into contiguous ranges of about equal product
+    counts, one per `worker_count()` thread; each thread walks all edge
+    weights in the same order through its own product buffer, so every block
+    has the same bits whatever the thread count.  Blocks are stored first
+    axis fastest, so the strided adds run along the full T range instead of
+    the short S rows; the layout changes no value.
+    """
+    n = len(planes)
+    size = n + edge.shape[0] - 1
+    out = [np.zeros((size, size, p + 1), dtype=_LONG, order="F") for p in range(size)]
     weights = [(tuple(idx), edge[tuple(idx)]) for idx in np.argwhere(edge)]
-    parts = worker_count() if acc.ndim > 2 else 1
+    # output plane p gets n^2 (q + 1) products per weight with t'' offset p - q
+    hits = np.bincount(np.nonzero(edge)[2], minlength=edge.shape[2])
+    cost = np.cumsum(np.convolve(hits, np.arange(1, n + 1)))
+    parts = worker_count()
+    cuts = np.searchsorted(cost, cost[-1] * np.arange(1, parts) / parts) + 1
+    bounds = [0, *np.minimum(cuts, size).tolist(), size]
 
     def fill(bounds):
         lo, hi = bounds
-        buf = np.empty(max((box.size for _, box in boxes), default=0), dtype=_LONG)
-        # per edge offset along the axis: each box clipped to [lo, hi), with
-        # its window corner and a product view into this thread's buffer
-        clipped = {}
-        for shift in {idx[axis] for idx, _ in weights}:
-            clipped[shift] = []
-            for starts, box in boxes:
-                a = max(lo - shift - starts[axis], 0)
-                b = min(hi - shift - starts[axis], box.shape[axis])
-                if a < b:
-                    part = box[before + (slice(a, b),)]
-                    corner = list(starts)
-                    corner[axis] += a
-                    dest = buf[: part.size].reshape(part.shape, order="F")
-                    clipped[shift].append((corner, part, dest))
-        for idx, w in weights:
-            for corner, part, dest in clipped[idx[axis]]:
-                np.multiply(w, part, out=dest)
-                window = out[tuple(slice(i + c, i + c + n) for i, c, n in zip(idx, corner, part.shape))]
-                np.add(window, dest, out=window)
+        buf = np.empty(planes[-1].size, dtype=_LONG)
+        dests = [buf[: plane.size].reshape(plane.shape, order="F") for plane in planes]
+        for (t, tp, tpp, s), w in weights:
+            for q in range(max(lo - tpp, 0), min(hi - tpp, n)):
+                np.multiply(w, planes[q], out=dests[q])
+                window = out[q + tpp][t : t + n, tp : tp + n, s : s + q + 1]
+                np.add(window, dests[q], out=window)
 
-    pool_map(fill, _balanced_ranges(boxes, edge, axis, shape[axis], parts))
+    pool_map(fill, [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
     return out
 
 
@@ -753,45 +732,33 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def _f3_collapse(acc: np.ndarray, j: int) -> np.ndarray:
+def _f3_collapse(planes: list, j: int) -> np.ndarray:
     """Inner-polynomial coefficient matrix c[a, b] of F3 block j (longdouble).
 
-    `acc` is the j-edge positive tensor convolution over the per-edge
-    indices, indexed [T - j, T' - j, T'' - j, S] from its first nonzero
-    index (`_f3_edge_tensor`); this collapses it onto monomials.  The sign
-    and 2-power depend only on a + b + j, so each c[a, b] is a purely
-    positive group sum times (-2)^(a+b+j) -- no cancellation occurs until
-    evaluation.
+    `planes` is the j-edge positive chain, one block [T - j, T' - j, S] per
+    T'' plane q = T'' - j with S <= q (`_f3_step`); this collapses it onto
+    monomials, T outermost and S inner, reading the (T', T'') slice of each
+    (T, S) from the planes q >= S.  The sign and 2-power depend only on
+    a + b + j, so each c[a, b] is a purely positive group sum times
+    (-2)^(a+b+j) -- no cancellation occurs until evaluation.
     """
-    n_t, n_tp, n_ts = (n + j for n in acc.shape[:3])  # T < n_t, T' < n_tp, T'' < n_ts
-    n_s = acc.shape[3]
-    size = n_t + n_s  # a = T + S < n_t + n_s; b < n_tp + n_ts - j
+    n = len(planes)  # T - j, T' - j, T'' - j and S all run below n
+    size = 2 * n + j  # a = T + S < n + j + n; b = T' + T'' - S - j < 2n + j - 1
     mat = np.zeros((size, size), dtype=_LONG)
-    lf = _log_factorials(n_tp + n_ts + 2)
-    tp_idx = np.arange(j, n_tp)
-    ts_idx = np.arange(j, n_ts)
+    lf = _log_factorials(2 * (n + j) + 2)
+    tp_idx = np.arange(j, n + j)
     log_tp = lf[tp_idx - 1]
-    log_ts = lf[ts_idx - 1]
-    for t_sum in range(j, n_t):
-        for s_sum in range(0, n_s):
-            plane = acc[t_sum - j, :, :, s_sum]
-            mask = plane > 0
-            if not mask.any():
-                continue
+    # the (T', T'', S) cube of one T; cells with S > T'' - j are never read
+    cube = np.empty((n, n, n), dtype=_LONG)
+    for t_sum in range(j, n + j):
+        for q, plane in enumerate(planes):
+            cube[:, q, : q + 1] = plane[t_sum - j]
+        for s_sum in range(n):
+            plane = cube[:, s_sum:, s_sum]  # T'' - j >= S; every cell positive
             a = t_sum + s_sum
-            b = tp_idx[:, None] + ts_idx[None, :] - s_sum - j
-            valid = mask & (b >= 1)
-            if not valid.any():
-                continue
-            log_r = (
-                lf[t_sum - 1]
-                + log_tp[:, None]
-                + log_ts[None, :]
-                - lf[a - 1]
-                - lf[np.maximum(b - 1, 0)]
-            )
-            vals = np.where(valid, np.exp(np.log(np.where(valid, plane, 1.0)) + log_r), 0.0)
-            np.add.at(mat[a], np.minimum(np.maximum(b, 0), size - 1).ravel(), vals.ravel())
+            b = tp_idx[:, None] + tp_idx[None, s_sum:] - s_sum - j  # >= j
+            log_r = lf[t_sum - 1] + log_tp[:, None] + log_tp[None, s_sum:] - lf[a - 1] - lf[b - 1]
+            np.add.at(mat[a], b.ravel(), np.exp(np.log(plane) + log_r).ravel())
     # fold in (-2)^(a+b+j) and the 2/j! front factor
     signs = np.power(_LONG(-2.0), np.arange(size, dtype=_LONG))
     mat *= np.outer(signs, signs) * (_LONG(-2.0) ** j * _LONG(2.0) / factorial(j))
@@ -803,23 +770,22 @@ def _f3_collapse(acc: np.ndarray, j: int) -> np.ndarray:
 def _f3_blocks(j_hi: int, m_max: int) -> tuple:
     """Coefficient matrices of F3 blocks 3..j_hi, from one walk of the chain.
 
-    Each block aggregates the full component-capped sum: the j-edge tensor
-    convolution, collapsed by `_f3_collapse` on the way up, so block j
-    reuses the j-1 convolutions of the blocks below it.  Only the current
-    chain tensor is held, indexed [T - j, T' - j, T'' - j, S] from its first
-    nonzero index: (j(m_max-1)+1)^4 cells.
+    Each block aggregates the full component-capped sum: the j-edge chain
+    (`_f3_step`), collapsed by `_f3_collapse` on the way up, so block j
+    reuses the j-1 steps of the blocks below it.  The walk starts from the
+    empty chain, one unit mass, and holds only the current chain: its T''
+    planes, `_f3_cells(j, m_max)` cells in all.
     """
     if j_hi < 3:
         raise ValueError("F3 blocks start at j = 3")
-    # the padded layout's count, an upper bound on the chain's largest tensor
-    _require_cells((j_hi * m_max + 1) ** 3 * (j_hi * (m_max - 1) + 1), j_hi, m_max)
+    _require_cells(_f3_cells(j_hi, m_max), j_hi, m_max)
     edge = _f3_edge_tensor(m_max)
-    acc = edge.copy()
+    planes = [np.ones((1, 1, 1), dtype=_LONG)]
     blocks = []
-    for j in range(2, j_hi + 1):
-        acc = _conv(acc, edge)
+    for j in range(1, j_hi + 1):
+        planes = _f3_step(planes, edge)
         if j >= 3:
-            blocks.append(_f3_collapse(acc, j))
+            blocks.append(_f3_collapse(planes, j))
     return tuple(blocks)
 
 

@@ -41,6 +41,7 @@ from star_spectra.analytic import (
     _f3_blocks,
     _f3_collapse,
     _f3_edge_tensor,
+    _f3_step,
     _f4_block_matrix,
     _f4_poly,
     _f12_table,
@@ -503,10 +504,10 @@ def test_f3_blocks_equal_independently_walked_chains():
     blocks = _f3_blocks(5, m_max)
     assert len(blocks) == 3
     for j, block in zip((3, 4, 5), blocks):
-        acc = edge.copy()
-        for _ in range(j - 1):
-            acc = _conv(acc, edge)
-        assert np.array_equal(block, _f3_collapse(acc, j))
+        planes = [np.ones((1, 1, 1), dtype=np.longdouble)]
+        for _ in range(j):
+            planes = _f3_step(planes, edge)
+        assert np.array_equal(block, _f3_collapse(planes, j))
 
 
 def _dense_conv(acc, edge):
@@ -573,14 +574,41 @@ def test_f3_blocks_equal_the_padded_layout(m_max):
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+def _densified(planes):
+    # the chain's T'' planes as one [T - j, T' - j, T'' - j, S] tensor
+    n = len(planes)
+    dense = np.zeros((n, n, n, n), dtype=np.longdouble)
+    for q, plane in enumerate(planes):
+        assert plane.shape == (n, n, q + 1)
+        dense[:, :, q, : q + 1] = plane
+    return dense
+
+
+@pytest.mark.parametrize("m_max", [3, 4])
+def test_f3_chain_planes_hold_exactly_its_support(m_max):
+    # every stored cell of every chain step is a positive mass, and the
+    # planes store as many cells as the [T - j, T' - j, T'' - j, S] tensor
+    # of the plain shifted-add loop has nonzeros
+    edge = _f3_edge_tensor(m_max)
+    planes = [np.ones((1, 1, 1), dtype=np.longdouble)]
+    dense = np.ones((1, 1, 1, 1), dtype=np.longdouble)
+    for _ in range(5):
+        planes = _f3_step(planes, edge)
+        dense = _dense_conv(dense, edge)
+        assert all((plane > 0).all() for plane in planes)
+        assert sum(plane.size for plane in planes) == np.count_nonzero(dense)
+        assert np.array_equal(_densified(planes), dense)
+
+
 def test_f3_chain_memory_follows_its_support(monkeypatch):
-    # The j = 5 chain at m_max = 4 holds (5 * 3 + 1)^4 cells from its first
-    # nonzero index.  Its build holds that output, the j = 4 input (0.44 of
-    # it) and one product buffer per thread no larger than the input; the
-    # padded layout's j = 5 tensor alone, 21^3 x 16 cells, is 2.26 of it.
+    # The j = 5 chain at m_max = 4 stores its T'' planes q < 16, each
+    # 16 x 16 x (q + 1) cells: 16^2 * 136 in all.  Its build holds that
+    # output, the j = 4 input (0.44 of it), one product buffer per thread no
+    # larger than the input's last plane, and the collapse's (T', T'', S)
+    # cube; the j = 5 tensor stored whole, 16^4 cells, is 1.88 of it.
     monkeypatch.setenv("STAR_SPECTRA_THREADS", "2")
     _f3_edge_tensor(4)  # cached before the trace
-    support_bytes = (5 * 3 + 1) ** 4 * np.dtype(np.longdouble).itemsize
+    support_bytes = 16**2 * 136 * np.dtype(np.longdouble).itemsize
     tracemalloc.start()
     try:
         _f3_blocks.__wrapped__(5, 4)
@@ -590,15 +618,17 @@ def test_f3_chain_memory_follows_its_support(monkeypatch):
     assert peak < 2.5 * support_bytes
 
 
-def _recorded_conv_inputs(monkeypatch, build, *args):
-    """(acc, edge) of every `_conv` call an uncached table build makes."""
+def _recorded_calls(monkeypatch, name, build, *args):
+    """(inputs, output) of every call to analytic.<name> an uncached table build makes."""
     calls = []
+    step = getattr(analytic, name)
 
     def recording(acc, edge):
-        calls.append((acc, edge))
-        return _conv(acc, edge)
+        out = step(acc, edge)
+        calls.append(((acc, edge), out))
+        return out
 
-    monkeypatch.setattr(analytic, "_conv", recording)
+    monkeypatch.setattr(analytic, name, recording)
     build.__wrapped__(*args)
     monkeypatch.undo()
     return calls
@@ -613,26 +643,30 @@ def _boxed(shape, box, seed):
 
 
 def test_support_conv_equals_dense_loop(monkeypatch):
-    f3_steps = _recorded_conv_inputs(monkeypatch, _f3_blocks, 5, 4)
-    f4_steps = _recorded_conv_inputs(monkeypatch, _f4_block_matrix, 4, 8)
-    assert len(f3_steps) == 4 and len(f4_steps) == 3 + 8
+    f3_steps = _recorded_calls(monkeypatch, "_f3_step", _f3_blocks, 5, 4)
+    f4_steps = _recorded_calls(monkeypatch, "_conv", _f4_block_matrix, 4, 8)
+    assert len(f3_steps) == 5 and len(f4_steps) == 3 + 8
     edge4 = _f3_edge_tensor(3)
     edge2 = _boxed((3, 4), np.s_[:, 1:], 7)
     edge2[1, 2] = 0.0
-    interior = [
-        # nonzeros in an interior box; slabs along the band axis are empty
-        (_boxed((6, 7, 11, 5), np.s_[2:4, 3:6, 5:8, 1:3], 1), edge4),
-        (_boxed((5, 4, 9, 6), np.s_[1:5, 0:2, 4:5, 2:6], 2), edge4),
-        (_boxed((9, 10), np.s_[3:6, 4:7], 3), edge2),
-    ]
+    # positive random masses in the plane layout, not reachable by a chain
+    random_planes = [_boxed((5, 5, q + 1), np.s_[:], q) for q in range(5)]
+    f3_cases = [args for args, _ in f3_steps] + [(random_planes, edge4)]
+    for (planes, edge), out in f3_steps:
+        assert np.array_equal(_densified(out), _dense_conv(_densified(planes), edge))
     for threads in ("1", "2"):
         monkeypatch.setenv("STAR_SPECTRA_THREADS", threads)
-        for acc, edge in f3_steps + f4_steps + interior:
+        for planes, edge in f3_cases:
+            got = _densified(_f3_step(planes, edge))
+            assert np.array_equal(got, _dense_conv(_densified(planes), edge))
+        for acc, edge in [args for args, _ in f4_steps] + [(_boxed((9, 10), np.s_[3:6, 4:7], 3), edge2)]:
             assert np.array_equal(_conv(acc, edge), _dense_conv(acc, edge))
-    for shape, edge in (((5, 6, 7, 4), edge4), ((4, 5), edge2)):
-        got = _conv(np.zeros(shape, dtype=np.longdouble), edge)
-        assert got.shape == tuple(x + y - 1 for x, y in zip(shape, edge.shape))
-        assert got.dtype == np.longdouble and not got.any()
+    zero_planes = [np.zeros((5, 5, q + 1), dtype=np.longdouble) for q in range(5)]
+    got = _f3_step(zero_planes, edge4)
+    assert [plane.shape for plane in got] == [(7, 7, p + 1) for p in range(7)]
+    assert all(plane.dtype == np.longdouble and not plane.any() for plane in got)
+    got = _conv(np.zeros((4, 5), dtype=np.longdouble), edge2)
+    assert got.shape == (6, 8) and got.dtype == np.longdouble and not got.any()
 
 
 def test_tables_are_bitwise_independent_of_the_thread_count(monkeypatch):
@@ -667,7 +701,7 @@ def test_oversized_series_tables_raise_before_building(monkeypatch):
     monkeypatch.setattr(analytic, "_f3_edge_tensor", never)
     monkeypatch.setattr(analytic, "_factorials", never)
     with pytest.raises(QuadratureError):
-        _f3_blocks(12, 8)
+        _f3_blocks(16, 8)
     with pytest.raises(QuadratureError):
         _f4_block_matrix(400, 8)
     with pytest.raises(QuadratureError):
