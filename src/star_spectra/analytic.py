@@ -650,10 +650,11 @@ def _f3_cells(j: int, m_max: int) -> int:
 def _f3_edge_tensor(m_max: int) -> np.ndarray:
     """Positive per-edge weights indexed [t - 1, t' - 1, t'' - 1, s], components 1..m_max.
 
-    Each of t, t', t'' is at least 1, so the tensor starts at that index, and
-    s < t'' holds its weights in the triangle s <= t'' - 1.  Chained over j
-    edges (`_f3_step`) it gives the chain indexed [T - j, T' - j, T'' - j, S],
-    whose nonzeros fill the triangle S <= T'' - j exactly.
+    Each of t, t', t'' is at least 1, so the tensor starts at that index,
+    and s runs below t'', so its weights fill the triangle s <= t'' - 1.
+    Chained over j edges (`_f3_step`), it gives the chain indexed
+    [T - j, T' - j, T'' - j, S], whose nonzeros fill the triangle
+    S <= T'' - j exactly.
     """
     tensor = np.zeros((m_max, m_max, m_max, m_max), dtype=_LONG)
     for t in range(1, m_max + 1):
