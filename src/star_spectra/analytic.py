@@ -63,7 +63,6 @@ __all__ = [
     "f_expansion",
     "f3_coefficients",
     "f4_coefficients",
-    "dirichlet_moment",
     "r3_connected",
     "r3_full",
 ]
@@ -229,6 +228,8 @@ def _c_row(j: int, cap: int) -> tuple:
 
 def c_coeff(j: int, m: int) -> Fraction:
     """Exact coefficient C_M of the form-factor series, for j >= 2, M >= 0."""
+    require_int("j", j)
+    require_int("M", m)
     if j < 2 or m < 0:
         raise ValueError("need j >= 2 and M >= 0")
     return _c_row(j, m)[m]
@@ -605,11 +606,13 @@ def f3_coefficients(j: int, trunc: Truncation = DEFAULT_TRUNCATION) -> dict:
 
     Reported through total degree 2 * m_max; evaluation keeps all orders.
     """
+    require_int("j", j)
     return dict(_f3_poly(j, trunc.m_max, trunc.degree_cap))
 
 
 def f4_coefficients(j: int, trunc: Truncation = DEFAULT_TRUNCATION) -> dict:
     """Exact half-bracket coefficients {(a, b): Fraction} of an F4 block."""
+    require_int("j", j)
     return dict(_f4_poly(j, trunc.m_max))
 
 
@@ -908,28 +911,6 @@ def f_expansion(tau: float, tau_p: float) -> float:
 # --------------------------------------------------------------- assembly --
 
 
-def dirichlet_moment(exponents, tau: float) -> float:
-    """Simplex moment integral of a monomial over q_i >= 0, sum q_i = tau.
-
-    Equals (prod m_i!) / (M + j - 1)! * tau^(M + j - 1) for j = len(exponents)
-    coordinates of which the last is eliminated.  Used as the independent
-    oracle for the series derivations.
-    """
-    exps = tuple(exponents)
-    require_int("exponents", *exps)
-    j = len(exps)
-    if j < 2:
-        raise ValueError("need at least two coordinates")
-    if any(e < 0 for e in exps):
-        raise ValueError("exponents must be nonnegative")
-    m = sum(exps)
-    scale = Fraction(1)
-    for e in exps:
-        scale *= factorial(e)
-    scale = Fraction(scale, factorial(m + j - 1))
-    return float(scale) * tau ** (m + j - 1)
-
-
 def _f12_rule(quad_points: int, tau_cutoff: float):
     """Nodes and weights of the F1+F2 table: composite Gauss-Legendre on [0, tau_cutoff]."""
     return _gl_panels(quad_points, 0.0, tau_cutoff)
@@ -972,7 +953,9 @@ def _f34_table(j_max: int, m_max: int):
     weights to extended precision instead of float64 moved them by 0.075 and
     3.1e-4.  That 1e-4 is rounding only: F4 is not converged in j, and
     taking it alone from j_max 6 to 8 moves r3_connected by 0.03-0.08 at five
-    points (ROADMAP item 1).
+    points.  Nor is it converged in m: F4 at (m_max, j_max) = (14, 8) moves
+    r3_connected by -0.135 at (0.5, 1) and -0.151 at (0.75, 1.5) (ROADMAP
+    item 1).
     """
     nodes, weights = _f34_rule(j_max, m_max)
     values = _f3_grid(nodes, nodes, j_max, m_max) + _f4_grid(nodes, nodes, j_max, m_max)

@@ -1,4 +1,4 @@
-"""Star graphs with random edge lengths and their vertex scattering amplitudes.
+"""Star graphs with random edge lengths: drawn, saved and loaded.
 
 A star graph has one center vertex joined to ``v`` outer vertices by edges of
 physical length ``l_i``.  Lengths are drawn i.i.d. uniform on
@@ -19,7 +19,7 @@ import numpy as np
 
 from ._guards import require_int
 
-__all__ = ["StarGraph", "build_graph", "s_amplitude", "load_graph", "save_graph"]
+__all__ = ["StarGraph", "build_graph", "load_graph", "save_graph"]
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,6 @@ def build_graph(v: int, seed: int) -> StarGraph:
     lo = 1.0 - 1.0 / (2 * v)
     lengths = lo + rng.random(v) * (1.0 / v)
     return StarGraph(v=v, lengths=tuple(float(x) for x in lengths), seed=seed)
-
-
-def s_amplitude(kind: str, v: int) -> float:
-    """Vertex scattering amplitude.
-
-    kind 'trivial'     -- reflection at an outer vertex, always 1
-    kind 'backscatter' -- center amplitude back into the same edge, -1 + 2/v
-    kind 'transmit'    -- center amplitude into a different edge, 2/v
-    """
-    if v < 1:
-        raise ValueError(f"need v >= 1, got {v}")
-    if kind == "trivial":
-        return 1.0
-    if kind == "backscatter":
-        return -1.0 + 2.0 / v
-    if kind == "transmit":
-        return 2.0 / v
-    raise ValueError(f"unknown amplitude kind {kind!r}")
 
 
 def save_graph(graph: StarGraph, path) -> None:

@@ -26,11 +26,11 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
+from ._guards import require_int
+
 __all__ = [
     "OrbitClass",
-    "classify",
     "repetition_number",
-    "amplitude",
     "enumerate_class",
     "q_bruteforce",
     "q_formula",
@@ -48,9 +48,12 @@ class OrbitClass:
     m: tuple
 
     def __post_init__(self):
+        require_int("j", self.j)
         if not (len(self.n) == len(self.m) == self.j >= 1):
             raise ValueError("n and m must both have j entries")
         for ni, mi in zip(self.n, self.m):
+            require_int("n_i", ni)
+            require_int("m_i", mi)
             if not 1 <= mi <= ni:
                 raise ValueError(f"need 1 <= m_i <= n_i, got m={mi}, n={ni}")
 
@@ -63,25 +66,6 @@ class OrbitClass:
         return sum(self.m)
 
 
-def classify(word) -> OrbitClass:
-    """Class (j, n, m) of a cyclic word; letters ordered by their sorted value.
-
-    n_i counts occurrences of the i-th distinct letter, m_i its maximal cyclic
-    runs.  A single-letter word forms one cyclic block.
-    """
-    w = list(word)
-    if not w:
-        raise ValueError("empty word")
-    letters = sorted(set(w))
-    k = len(w)
-    n = tuple(sum(1 for c in w if c == letter) for letter in letters)
-    m = []
-    for letter in letters:
-        starts = sum(1 for i in range(k) if w[i] == letter and w[i - 1] != letter)
-        m.append(starts if starts > 0 else 1)  # all-same word: one block
-    return OrbitClass(j=len(letters), n=n, m=tuple(m))
-
-
 def repetition_number(word) -> int:
     """Largest r such that the word is an r-fold repeat of a primitive word."""
     w = tuple(word)
@@ -92,18 +76,6 @@ def repetition_number(word) -> int:
         if k % p == 0 and w[:p] * (k // p) == w:
             return k // p
     return 1
-
-
-def amplitude(word, v: int) -> float:
-    """Product of center scattering amplitudes along the orbit.
-
-    Each cyclically adjacent equal pair of letters is a backscatter (-1+2/v),
-    each unequal pair a transmission (2/v); outer-vertex reflections are 1.
-    """
-    w = list(word)
-    k = len(w)
-    back = sum(1 for i in range(k) if w[i] == w[i - 1])
-    return (-1.0 + 2.0 / v) ** back * (2.0 / v) ** (k - back)
 
 
 def _min_rotation(w: str) -> str:
@@ -240,7 +212,7 @@ def class_weight(counts: tuple, v: int) -> float:
     return float((-1) ** k * total)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def necklaces(k: int, v: int) -> tuple:
     """All length-k necklaces over {0..v-1} with repetition numbers.
 
@@ -248,8 +220,11 @@ def necklaces(k: int, v: int) -> tuple:
     ((word, r), ...) in lexicographic order, where word is the minimal
     rotation (tuple of ints) and r its repetition number.  Periodic
     necklaces are included, so summing 1/r over the result weights orbits
-    exactly as the trace formula requires.
+    exactly as the trace formula requires.  The cache is typed, so True or
+    2.0 never reads the entry of 1 or 2 and always reaches the int guard.
     """
+    require_int("k", k)
+    require_int("v", v)
     if k < 1 or v < 1:
         raise ValueError("need positive word length and alphabet")
     a = [0] * (k + 1)  # a[1..k] is the current prenecklace

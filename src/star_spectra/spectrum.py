@@ -1,27 +1,18 @@
-"""Eigenvalues of a star graph: secular equation, root solver, verification.
+"""Eigenvalues of a star graph: the root solver and an independent root count.
 
-Two independent secular functions are kept side by side:
-
-* ``secular_tan`` -- the O(v) scalar form  sum_i tan(lambda * l_i), whose
-  roots between consecutive poles are the eigenvalues.  Its value and slope
-  sum_i l_i/cos^2(lambda * l_i) come from one tan per edge, and drive the
-  production solver ``solve_spectrum``: a bracket-safeguarded Newton
-  iteration, vectorized over all inter-pole intervals.
-* ``secular_det`` -- the determinant  det(I - W(lambda))  of the v x v
-  unitary W = D C D, with D = diag(exp(-i*lambda*l_i)) and C = (2/v)J - I the
-  center's scattering matrix.  A Schur complement reduces the directed-edge
-  determinant det(I - exp(-i*lambda*Lhat) S) over the 2v bonds exactly to
-  this one.  It is O(v^3) per evaluation, uses none of the rank-one
-  structure the tan form comes from, and is retained purely as a cross-check
-  oracle: every root found by the tan form must annihilate the determinant,
-  and independent root counts from both must agree.
-
-``secular_real`` is a rotation of the determinant onto the real axis (the
-determinant times ``exp(i*lambda*L/2)`` is purely imaginary), which gives the
-determinant-side polish a real-valued target.  Root counting on the
-determinant side goes through the eigenphases of W instead
-(``det_root_count``), which stays exact where the determinant's magnitude
-underflows.
+* ``solve_spectrum`` finds the roots of the O(v) secular function
+  f(lambda) = sum_i tan(lambda * l_i), one between each pair of consecutive
+  tangent poles.  ``_tan_sum`` gives its value and slope
+  sum_i l_i/cos^2(lambda * l_i) from one tan per edge, and drives a
+  bracket-safeguarded Newton iteration, vectorized over all inter-pole
+  intervals.
+* ``det_root_count`` counts the roots of det(I - W(lambda)) in
+  (0, lambda_max], with W = D C D the v x v unitary built from
+  D = diag(exp(-i*lambda*l_i)) and the center's scattering matrix
+  C = (2/v)J - I.  It follows the winding of W's eigenphases, uses none of
+  the rank-one structure the tan form comes from, and stays exact where the
+  determinant's magnitude underflows, so the solver's root count can be
+  held against it.
 """
 
 from __future__ import annotations
@@ -32,22 +23,7 @@ import numpy as np
 
 from .graph import StarGraph
 
-__all__ = [
-    "PoleProximity",
-    "SolverNotConverged",
-    "Spectrum",
-    "secular_det",
-    "secular_tan",
-    "secular_real",
-    "solve_spectrum",
-    "polish_roots_det",
-    "det_root_count",
-    "mean_spacing",
-]
-
-
-class PoleProximity(ValueError):
-    """Raised when secular_tan is evaluated too close to a tangent pole."""
+__all__ = ["SolverNotConverged", "Spectrum", "solve_spectrum", "det_root_count"]
 
 
 class SolverNotConverged(RuntimeError):
@@ -55,8 +31,6 @@ class SolverNotConverged(RuntimeError):
 
 
 _MAX_NEWTON_ITERATIONS = 100
-_POLE_TOL = 1e-8
-_DET_POLISH_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -69,11 +43,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def mean_spacing(graph: StarGraph) -> float:
-    """Mean eigenvalue spacing 2*pi/L from the Weyl density L/(2*pi)."""
-    return 2.0 * np.pi / graph.total_length
 
 
 def _evolution_chunks(graph: StarGraph, lams: np.ndarray):
@@ -92,36 +61,6 @@ def _evolution_chunks(graph: StarGraph, lams: np.ndarray):
         w = d[:, :, None] * center
         w *= d[:, None, :]
         yield start, w
-
-
-def secular_det(graph: StarGraph, lam):
-    """det(I - W(lam)) with W = D C D; zero at eigenvalues.
-
-    Array-first: a scalar lam returns a complex, an array an array of its
-    shape, each element with the bits of the scalar call.
-    """
-    lams = np.asarray(lam, dtype=float)
-    out = np.empty(lams.size, dtype=complex)
-    eye = np.eye(graph.v)
-    for start, w in _evolution_chunks(graph, lams.ravel()):
-        out[start : start + len(w)] = np.linalg.det(eye - w)
-    return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
-
-
-def secular_real(graph: StarGraph, lams) -> np.ndarray:
-    """Real-valued rotation Im(det * exp(i*lam*L/2)); same zeros as the det.
-
-    det W = det(D)^2 det(C) = (-1)^(v-1) exp(-i*lam*L), since C has the
-    eigenvalue 1 once and -1 v-1 times and L = 2*sum(l_i).  With W's
-    eigenphases phi_k, det(I - W) = prod(-2i sin(phi_k/2) exp(i*phi_k/2)),
-    and exp(i*sum(phi_k)/2) = +-i^(v-1) exp(-i*lam*L/2), so the determinant
-    times exp(i*lam*L/2) is (-2i)^v i^(v-1) times a real number: purely
-    imaginary, and its imaginary part carries all the information.  For
-    v=1, l=1 this reduces to 2*sin(lam).
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    dets = secular_det(graph, lams)
-    return np.imag(dets * np.exp(1j * lams * graph.total_length / 2.0))
 
 
 def _tan_sum(x: np.ndarray, l: np.ndarray):
@@ -144,17 +83,6 @@ def _tan_sum(x: np.ndarray, l: np.ndarray):
         t += 1.0
         slope[start : start + step] = t @ l
     return value, slope
-
-
-def secular_tan(graph: StarGraph, lam: float) -> float:
-    """sum_i tan(lam * l_i); raises PoleProximity within _POLE_TOL of any pole."""
-    l = graph.lengths_array()
-    # distance from lam to the nearest pole pi*(n+1/2)/l_i, per edge
-    frac = lam * l / np.pi - 0.5
-    dist = np.abs(frac - np.round(frac)) * np.pi / l
-    if np.any(dist < _POLE_TOL):
-        raise PoleProximity(f"lambda={lam} is within {_POLE_TOL} of a tangent pole")
-    return float(_tan_sum(np.array([lam], dtype=float), l)[0][0])
 
 
 def _pole_grid(graph: StarGraph, lambda_max: float) -> np.ndarray:
@@ -231,28 +159,6 @@ def solve_spectrum(graph: StarGraph, lambda_max: float) -> Spectrum:
     roots = roots[in_range]
     roots = np.sort(roots)
     return Spectrum(eigenvalues=roots, lambda_max=float(lambda_max), graph=graph)
-
-
-def polish_roots_det(graph: StarGraph, roots: np.ndarray) -> np.ndarray:
-    """Secant-polish roots against the determinant-side secular function.
-
-    Runs a few derivative-free steps on secular_real (central differences),
-    vectorized across all roots.  Used to verify that tan-form roots are
-    roots of the determinant too, to the determinant's own resolution.
-    """
-    lam = np.array(roots, dtype=float, copy=True)
-    eps = 1e-7
-    for _ in range(_DET_POLISH_STEPS):
-        stacked = np.concatenate([lam, lam + eps, lam - eps])
-        h = secular_real(graph, stacked)
-        n = len(lam)
-        h0, hp, hm = h[:n], h[n : 2 * n], h[2 * n :]
-        slope = (hp - hm) / (2 * eps)
-        step = np.where(slope != 0.0, h0 / np.where(slope == 0.0, 1.0, slope), 0.0)
-        # never walk further than a fraction of the local spacing
-        cap = 0.25 * mean_spacing(graph)
-        lam = lam - np.clip(step, -cap, cap)
-    return lam
 
 
 def det_root_count(graph: StarGraph, lambda_max: float) -> int:

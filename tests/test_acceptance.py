@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import dirichlet_moment, polish_roots_det, secular_det
 from star_spectra import (
     DEFAULT_TRUNCATION,
     EnsembleConfig,
@@ -22,20 +23,17 @@ from star_spectra import (
     density_from_orbits,
     density_from_spectrum,
     det_root_count,
-    dirichlet_moment,
     estimate_r2,
     estimate_r3,
     f_expansion,
     f_total,
     k_formfactor,
-    polish_roots_det,
     q_bruteforce,
     q_formula,
     r2_analytic,
     r2_from_levels,
     r3_from_levels,
     r3_full,
-    secular_det,
     solve_spectrum,
 )
 

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import dirichlet_moment
 from star_spectra import (
     DEFAULT_TRUNCATION,
     QuadratureError,
     Truncation,
     bessel_ratio,
     c_coeff,
-    dirichlet_moment,
     f1,
     f2,
     f3,
@@ -154,6 +154,17 @@ def test_block_count_coefficients_exact_values():
         c_coeff(1, 0)
     with pytest.raises(ValueError):
         c_coeff(2, -1)
+    # a float j would recurse without end, and True would read as M = 1
+    for j, m in ((2.5, 3), (2, True), (True, 0), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            c_coeff(j, m)
+
+
+def test_exact_block_coefficients_refuse_non_int_j():
+    for oracle in (f3_coefficients, f4_coefficients):
+        for j in (3.0, True, "3"):
+            with pytest.raises(ValueError, match="must be an int"):
+                oracle(j, SMALL)
 
 
 def _exact_k_poly(trunc):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from star_spectra import StarGraph, build_graph, load_graph, s_amplitude, save_graph
+from oracles import s_amplitude
+from star_spectra import StarGraph, build_graph, load_graph, save_graph
 
 
 @pytest.mark.parametrize("v", [1, 2, 5, 20, 100])

@@ -5,17 +5,15 @@ from math import comb
 
 import pytest
 
+from oracles import amplitude, classify, s_amplitude
 from star_spectra import (
     OrbitClass,
-    amplitude,
     class_weight,
-    classify,
     enumerate_class,
     necklaces,
     q_bruteforce,
     q_formula,
     repetition_number,
-    s_amplitude,
 )
 
 
@@ -55,6 +53,9 @@ def test_class_validation():
         OrbitClass(0, (), ())
     with pytest.raises(ValueError):
         OrbitClass(2, (2, 2), (0, 2))  # blocks must be positive
+    for j, n, m in ((True, (2,), (1,)), (1, (2.0,), (1,)), (2, (2, 2), (1, True))):
+        with pytest.raises(ValueError, match="must be an int"):
+            OrbitClass(j, n, m)
 
 
 def test_repetition_numbers():
@@ -216,3 +217,7 @@ def test_necklaces_validate_arguments():
         necklaces(0, 2)
     with pytest.raises(ValueError):
         necklaces(3, 0)
+    necklaces(1, 2)  # a cached (1, 2) must not answer for (True, 2)
+    for k, v in ((True, 2), (2, True), (2.0, 2), (2, 2.0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            necklaces(k, v)

@@ -5,18 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from star_spectra import (
-    PoleProximity,
-    StarGraph,
-    build_graph,
-    det_root_count,
-    mean_spacing,
-    polish_roots_det,
-    secular_det,
-    secular_real,
-    secular_tan,
-    solve_spectrum,
-)
+from oracles import mean_spacing, polish_roots_det, secular_det, secular_real
+from star_spectra import StarGraph, build_graph, det_root_count, solve_spectrum
 from star_spectra.spectrum import SolverNotConverged, _tan_sum
 
 
@@ -61,7 +51,7 @@ def test_tan_form_increases_between_poles():
         if b - a < 1e-6:
             continue
         xs = np.linspace(a + 0.15 * (b - a), b - 0.15 * (b - a), 5)
-        vals = [secular_tan(graph, float(x)) for x in xs]
+        vals = _tan_sum(xs, graph.lengths_array())[0]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -73,13 +63,6 @@ def test_tan_sum_value_and_slope_match_direct_forms():
     arg = np.multiply.outer(x, l)
     assert np.array_equal(value, np.tan(arg).sum(axis=1))
     assert np.allclose(slope, (l / np.cos(arg) ** 2).sum(axis=1), rtol=1e-12, atol=0)
-
-
-def test_tan_form_rejects_pole_neighborhood():
-    graph = build_graph(2, seed=4)
-    pole = 0.5 * np.pi / graph.lengths[0]
-    with pytest.raises(PoleProximity):
-        secular_tan(graph, float(pole))
 
 
 def test_roots_satisfy_determinant_form():

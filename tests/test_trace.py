@@ -5,9 +5,9 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import amplitude
 from star_spectra import (
     StarGraph,
-    amplitude,
     build_graph,
     density_from_orbits,
     density_from_spectrum,
