@@ -650,25 +650,27 @@ def _f3_cells(j: int, m_max: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _f3_edge_tensor(m_max: int) -> np.ndarray:
-    """Positive per-edge weights indexed [t - 1, t' - 1, t'' - 1, s], components 1..m_max.
+def _f3_edge_tensor(m_max: int) -> tuple:
+    """The positive per-edge weight as two factors (a, b), components 1..m_max.
 
-    Each of t, t', t'' is at least 1, so the tensor starts at that index,
-    and s runs below t'', so its weights fill the triangle s <= t'' - 1.
-    Chained over j edges (`_f3_step`), it gives the chain indexed
+    The weight of edge (t, t', t'', s), each of t, t', t'' at least 1 and
+    s below t'', is comb(s+t-1, s)/t! * comb(t''+t'-s-2, t'-1)/(t'! t''!),
+    which is a[t - 1, s] * b[t' - 1, t'' - 1, s]; b is zero for s >= t''.
+    Each factor is one extended-precision division of its exact integers.
+    Chained over j edges (`_f3_step`), the weights give the chain indexed
     [T - j, T' - j, T'' - j, S], whose nonzeros fill the triangle
     S <= T'' - j exactly.
     """
-    tensor = np.zeros((m_max, m_max, m_max, m_max), dtype=_LONG)
+    a = np.empty((m_max, m_max), dtype=_LONG)
+    b = np.zeros((m_max, m_max, m_max), dtype=_LONG)
     for t in range(1, m_max + 1):
-        for tp in range(1, m_max + 1):
-            for tpp in range(1, m_max + 1):
-                base = factorial(t) * factorial(tp) * factorial(tpp)
-                for s in range(0, tpp):
-                    tensor[t - 1, tp - 1, tpp - 1, s] = float(
-                        Fraction(comb(s + t - 1, s) * comb(tpp + tp - s - 2, tp - 1), base)
-                    )
-    return tensor
+        for s in range(m_max):
+            a[t - 1, s] = _LONG(comb(s + t - 1, s)) / _LONG(factorial(t))
+            for tpp in range(s + 1, m_max + 1):
+                b[t - 1, tpp - 1, s] = _LONG(comb(tpp + t - s - 2, t - 1)) / _LONG(
+                    factorial(t) * factorial(tpp)
+                )
+    return a, b
 
 
 def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
@@ -684,45 +686,64 @@ def _conv(acc: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f3_step(planes: list, edge: np.ndarray) -> list:
-    """The F3 chain one edge longer: convolve its T'' planes with `edge`.
+def _f3_step(planes: list, edge: tuple) -> list:
+    """The F3 chain one edge longer: convolve its T'' planes with the edge weights.
 
     The chain of j edges is held as one block per T'' plane q = T'' - j,
     indexed [T - j, T' - j, S] with S <= q: shape (n, n, q + 1) for
     n = j(m_max-1)+1, so every stored cell is a positive mass (`_f3_cells`).
-    Each nonzero edge weight w at (t, t', t'', s), in `np.argwhere` order,
-    adds w * (plane q) into output plane q + t'' at (t, t', s).  Output cells
-    thus receive the products of the dense 4-D loop `out[shift] += w * acc`
-    in the same order, minus exact +0.0 products, which leave a nonnegative
-    mass unchanged.
+    The weight factors as a[t, s] * b[t', t'', s] (`_f3_edge_tensor`), so for
+    each input plane q and each s the T-axis convolution of plane q with
+    a[:, s] is taken once, m shifted adds into one (n+m-1, n, q+1) buffer;
+    then b[t', t'', s] times that buffer is added into output plane q + t''
+    at offset (t', s), for every t'' >= s.  That is m (m + m(m+1)/2) shifted
+    adds per plane instead of one per nonzero weight, m^3 (m+1)/2.
 
-    The output planes are split into contiguous ranges of about equal product
-    counts, one per `worker_count()` thread; each thread walks all edge
-    weights in the same order through its own product buffer, so every block
-    has the same bits whatever the thread count.  Blocks are stored first
-    axis fastest, so the strided adds run along the full T range instead of
-    the short S rows; the layout changes no value.
+    The output planes are split into contiguous ranges of about equal work,
+    one per `worker_count()` thread.  Each thread walks the same (q, s, t'',
+    t') order, skipping output planes outside its range, and builds each
+    buffer it needs itself, so every block has the same bits whatever the
+    thread count.  Blocks and buffers are stored first axis fastest, so the
+    strided adds run along the full T range instead of the short S rows; the
+    layout changes no value.
     """
+    a, b = edge
+    m = a.shape[0]
     n = len(planes)
-    size = n + edge.shape[0] - 1
+    size = n + m - 1
     out = [np.zeros((size, size, p + 1), dtype=_LONG, order="F") for p in range(size)]
-    weights = [(tuple(idx), edge[tuple(idx)]) for idx in np.argwhere(edge)]
-    # output plane p gets n^2 (q + 1) products per weight with t'' offset p - q
-    hits = np.bincount(np.nonzero(edge)[2], minlength=edge.shape[2])
-    cost = np.cumsum(np.convolve(hits, np.arange(1, n + 1)))
+    # work of output plane p, in units of m n (q + 1) cells: from input plane
+    # q = p - t'' it takes t'' + 1 buffers s <= t'', m adds of size n (q + 1)
+    # cells each, and the m adds of n^2 (q + 1) cells that make buffer s = t''
+    q, tpp = np.indices((n, m))
+    work = (q + 1) * ((tpp + 1) * size + n)
+    cost = np.cumsum(np.bincount((q + tpp).ravel(), work.ravel(), minlength=size))
     parts = worker_count()
     cuts = np.searchsorted(cost, cost[-1] * np.arange(1, parts) / parts) + 1
     bounds = [0, *np.minimum(cuts, size).tolist(), size]
 
     def fill(bounds):
         lo, hi = bounds
-        buf = np.empty(planes[-1].size, dtype=_LONG)
-        dests = [buf[: plane.size].reshape(plane.shape, order="F") for plane in planes]
-        for (t, tp, tpp, s), w in weights:
-            for q in range(max(lo - tpp, 0), min(hi - tpp, n)):
-                np.multiply(w, planes[q], out=dests[q])
-                window = out[q + tpp][t : t + n, tp : tp + n, s : s + q + 1]
-                np.add(window, dests[q], out=window)
+        conv_buf = np.empty(size * n * n, dtype=_LONG)
+        prod_buf = np.empty(size * n * n, dtype=_LONG)
+        for q in range(max(lo - m + 1, 0), min(hi, n)):
+            plane = planes[q]
+            shape = (size, n, q + 1)
+            conv = conv_buf[: size * n * (q + 1)].reshape(shape, order="F")
+            prod = prod_buf[: size * n * (q + 1)].reshape(shape, order="F")
+            small = prod_buf[: plane.size].reshape(plane.shape, order="F")  # free until prod
+            for s in range(min(m, hi - q)):
+                conv.fill(0)
+                for t in range(m):
+                    np.multiply(a[t, s], plane, out=small)
+                    window = conv[t : t + n]
+                    np.add(window, small, out=window)
+                for tpp in range(max(s, lo - q), min(m, hi - q)):
+                    target = out[q + tpp]
+                    for tp in range(m):
+                        np.multiply(b[tp, tpp, s], conv, out=prod)
+                        window = target[:, tp : tp + n, s : s + q + 1]
+                        np.add(window, prod, out=window)
 
     pool_map(fill, [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
     return out

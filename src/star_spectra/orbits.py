@@ -177,7 +177,6 @@ def q_formula(cls: OrbitClass) -> Fraction:
     return prefactor * (-1) ** cls.transmissions * total
 
 
-@lru_cache(maxsize=4096)
 def class_weight(counts: tuple, v: int) -> float:
     """Trace-formula weight W(n) of all orbits with visit counts n.
 
@@ -192,8 +191,19 @@ def class_weight(counts: tuple, v: int) -> float:
 
     A single edge is the k-fold repeat of one excursion: W = b^k / k.
     Summed in exact rationals and rounded once.  W is symmetric in the
-    edges, so callers pass n sorted, one cache entry per class.
+    edges, so callers pass n sorted, one cache entry per class.  The int
+    guard runs before the cache: a typed cache compares only the types of
+    the tuple and of v, so (True, 2) would read the entry of (1, 2).
     """
+    require_int("v", v)
+    for n in counts:
+        require_int("visit count", n)
+    return _class_weight(tuple(counts), v)
+
+
+@lru_cache(maxsize=4096)
+def _class_weight(counts: tuple, v: int) -> float:
+    """`class_weight` on int visit counts and an int v."""
     if not counts or min(counts) < 1 or v < 1:
         raise ValueError(f"need positive visit counts and alphabet, got {counts}, v={v}")
     k = sum(counts)

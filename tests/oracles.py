@@ -6,6 +6,9 @@ the tests rather than in the shipped package:
 
 * ``dirichlet_moment`` -- simplex moment integrals in closed form, the
   oracle for the series derivations (criterion 06);
+* ``exact_f3_chain`` -- the j-edge F3 chain in exact rationals, by the plain
+  shifted-add loop over every edge weight, the oracle for the factored
+  extended-precision chain step of `analytic`;
 * ``s_amplitude``, ``classify`` and ``amplitude`` -- the vertex scattering
   amplitudes and the class and amplitude of a single cyclic word, the
   word-by-word oracle for the class sums of `orbits` and `trace`;
@@ -27,7 +30,8 @@ names with ``from oracles import ...``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from star_spectra.spectrum import _evolution_chunks
 
 __all__ = [
     "dirichlet_moment",
+    "exact_f3_chain",
     "s_amplitude",
     "classify",
     "amplitude",
@@ -70,6 +75,45 @@ def dirichlet_moment(exponents, tau: float) -> float:
         scale *= factorial(e)
     scale = Fraction(scale, factorial(m + j - 1))
     return float(scale) * tau ** (m + j - 1)
+
+
+@lru_cache(maxsize=None)
+def _scaled_f3_chain(m_max: int, j: int) -> np.ndarray:
+    """The j-edge F3 chain times (m_max!)^(3j), as an object array of ints."""
+    if j == 0:
+        return np.ones((1, 1, 1, 1), dtype=object)
+    # the weight times (m_max!)^3 at [t - 1, t' - 1, t'' - 1, s], an integer
+    top = factorial(m_max)
+    edge = np.zeros((m_max,) * 4, dtype=object)
+    for t in range(1, m_max + 1):
+        for tp in range(1, m_max + 1):
+            for tpp in range(1, m_max + 1):
+                scale = (top // factorial(t)) * (top // factorial(tp)) * (top // factorial(tpp))
+                for s in range(tpp):
+                    edge[t - 1, tp - 1, tpp - 1, s] = comb(s + t - 1, s) * comb(tpp + tp - s - 2, tp - 1) * scale
+    acc = _scaled_f3_chain(m_max, j - 1)
+    out = np.zeros(tuple(x + m_max - 1 for x in acc.shape), dtype=object)
+    for idx in np.argwhere(edge != 0):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, acc.shape))] += edge[tuple(idx)] * acc
+    return out
+
+
+def exact_f3_chain(m_max: int, j: int) -> np.ndarray:
+    """The j-edge F3 chain as an object array of `Fraction`s.
+
+    Indexed [T - j, T' - j, T'' - j, S], each axis j(m_max-1)+1 long: the
+    sum over every j-edge walk of the product of its per-edge weights
+    comb(s+t-1, s) comb(t''+t'-s-2, t'-1) / (t! t'! t''!), with s < t''.
+    The weights are scaled by (m_max!)^3 to integers, the plain shifted-add
+    loop runs over each nonzero weight in exact integers, and the scale
+    comes off at the end.  Nothing here factors the weight or orders the
+    sums as `analytic._f3_step` does.
+    """
+    require_int("m_max", m_max)
+    require_int("j", j)
+    if m_max < 1 or j < 1:
+        raise ValueError("need positive m_max and j")
+    return _scaled_f3_chain(m_max, j) * Fraction(1, factorial(m_max) ** (3 * j))
 
 
 def s_amplitude(kind: str, v: int) -> float:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import dirichlet_moment
+from oracles import dirichlet_moment, exact_f3_chain
 from star_spectra import (
     DEFAULT_TRUNCATION,
     QuadratureError,
@@ -508,6 +508,23 @@ def test_f4_engine_matches_exact_coefficients(j):
         assert abs(Fraction(*mat[a, b].as_integer_ratio()) / frac - 1) <= 1e-16
 
 
+def _worst_relative_error(got, exact):
+    # largest |got / exact - 1| over the cells, in exact rationals
+    return float(max(abs(Fraction(*g.as_integer_ratio()) / e - 1) for g, e in zip(got.ravel(), exact.ravel())))
+
+
+@pytest.mark.parametrize("j", [3, 4])
+def test_f3_engine_matches_exact_coefficients(j):
+    # each exact coefficient is a positive mass times a sign, so the
+    # extended-precision block must hold it to a few ulps, cell for cell
+    trunc = Truncation(j_max=4, m_max=8)
+    mat = _f3_blocks(trunc.j_max, trunc.m_max)[j - 3]
+    coeffs = f3_coefficients(j, trunc)
+    assert coeffs
+    got = np.array([mat[key] for key in coeffs])
+    assert _worst_relative_error(got, np.array(list(coeffs.values()))) <= 64 * np.finfo(np.longdouble).eps
+
+
 def test_f3_blocks_equal_independently_walked_chains():
     # one walk of the chain must give each block the bits of its own walk
     m_max = 4
@@ -555,34 +572,25 @@ def _padded_collapse(acc, j):
     return (mat + mat.T) / np.longdouble(2.0)
 
 
-def _padded_f3_blocks(j_hi, m_max):
-    """F3 blocks 3..j_hi with the chain stored from index 0 on T, T' and T''.
-
-    The package stores the chain from its first nonzero index, T = j; this
-    is the padded layout, built with its own edge tensor [t, t', t'', s], the
-    plain shifted-add loop and a collapse that reads T, T', T'' directly.
-    """
-    edge = np.zeros((m_max + 1,) * 3 + (m_max,), dtype=np.longdouble)
-    for t, tp, tpp in itertools.product(range(1, m_max + 1), repeat=3):
-        base = factorial(t) * factorial(tp) * factorial(tpp)
-        for s in range(tpp):
-            edge[t, tp, tpp, s] = float(Fraction(comb(s + t - 1, s) * comb(tpp + tp - s - 2, tp - 1), base))
-    acc, blocks = edge, []
-    for j in range(2, j_hi + 1):
-        acc = _dense_conv(acc, edge)
-        if j >= 3:
-            blocks.append(_padded_collapse(acc, j))
-    return blocks
+def _as_long(exact):
+    # an object array of Fractions in extended precision, one division per cell
+    flat = [np.longdouble(f.numerator) / np.longdouble(f.denominator) for f in exact.ravel()]
+    return np.array(flat, dtype=np.longdouble).reshape(exact.shape)
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 4])
 def test_f3_blocks_equal_the_padded_layout(m_max):
-    # the dropped planes below T = j only ever held +0.0, so no bit moves
-    blocks = _f3_blocks(5, m_max)
-    want = _padded_f3_blocks(5, m_max)
-    assert len(blocks) == len(want) == 3
-    for got, ref in zip(blocks, want):
-        assert got.shape == ref.shape and np.array_equal(got, ref)
+    # the collapse of the plane layout reads the same chain cells in the same
+    # order as a collapse of the chain stored from index 0 on T, T' and T'';
+    # both are fed the exact chain, so this checks the collapse on its own
+    for j in (3, 4, 5):
+        chain = _as_long(exact_f3_chain(m_max, j))
+        n = chain.shape[0]
+        planes = [chain[:, :, q, : q + 1] for q in range(n)]
+        padded = np.zeros((n + j,) * 3 + (n,), dtype=np.longdouble)
+        padded[j:, j:, j:, :] = chain
+        got, want = _f3_collapse(planes, j), _padded_collapse(padded, j)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _densified(planes):
@@ -597,18 +605,19 @@ def _densified(planes):
 
 @pytest.mark.parametrize("m_max", [3, 4])
 def test_f3_chain_planes_hold_exactly_its_support(m_max):
-    # every stored cell of every chain step is a positive mass, and the
-    # planes store as many cells as the [T - j, T' - j, T'' - j, S] tensor
-    # of the plain shifted-add loop has nonzeros
+    # every stored cell of every chain step is a positive mass within 4j eps
+    # of the exact chain, and the planes store as many cells as the
+    # [T - j, T' - j, T'' - j, S] tensor of the exact chain has nonzeros
+    eps = np.finfo(np.longdouble).eps
     edge = _f3_edge_tensor(m_max)
     planes = [np.ones((1, 1, 1), dtype=np.longdouble)]
-    dense = np.ones((1, 1, 1, 1), dtype=np.longdouble)
-    for _ in range(5):
+    for j in range(1, 6):
         planes = _f3_step(planes, edge)
-        dense = _dense_conv(dense, edge)
+        exact = exact_f3_chain(m_max, j)
         assert all((plane > 0).all() for plane in planes)
-        assert sum(plane.size for plane in planes) == np.count_nonzero(dense)
-        assert np.array_equal(_densified(planes), dense)
+        assert sum(plane.size for plane in planes) == np.count_nonzero(exact)
+        for q, plane in enumerate(planes):
+            assert _worst_relative_error(plane, exact[:, :, q, : q + 1]) <= 4 * j * eps
 
 
 def test_f3_chain_memory_follows_its_support(monkeypatch):
@@ -654,26 +663,28 @@ def _boxed(shape, box, seed):
 
 
 def test_support_conv_equals_dense_loop(monkeypatch):
-    f3_steps = _recorded_calls(monkeypatch, "_f3_step", _f3_blocks, 5, 4)
     f4_steps = _recorded_calls(monkeypatch, "_conv", _f4_block_matrix, 4, 8)
-    assert len(f3_steps) == 5 and len(f4_steps) == 3 + 8
-    edge4 = _f3_edge_tensor(3)
+    assert len(f4_steps) == 3 + 8
     edge2 = _boxed((3, 4), np.s_[:, 1:], 7)
     edge2[1, 2] = 0.0
-    # positive random masses in the plane layout, not reachable by a chain
+    for (acc, edge), out in f4_steps:
+        assert np.array_equal(out, _dense_conv(acc, edge))
+    # the factored F3 step on positive random masses in the plane layout, not
+    # reachable by a chain, against the plain loop over the product weights:
+    # both sum the same positive products, so they differ only by rounding
+    factors = _f3_edge_tensor(3)
+    a, b = factors
+    weights = a[:, None, None, :] * b[None, :, :, :]
     random_planes = [_boxed((5, 5, q + 1), np.s_[:], q) for q in range(5)]
-    f3_cases = [args for args, _ in f3_steps] + [(random_planes, edge4)]
-    for (planes, edge), out in f3_steps:
-        assert np.array_equal(_densified(out), _dense_conv(_densified(planes), edge))
+    want = _dense_conv(_densified(random_planes), weights)
     for threads in ("1", "2"):
         monkeypatch.setenv("STAR_SPECTRA_THREADS", threads)
-        for planes, edge in f3_cases:
-            got = _densified(_f3_step(planes, edge))
-            assert np.array_equal(got, _dense_conv(_densified(planes), edge))
+        got = _densified(_f3_step(random_planes, factors))
+        assert np.allclose(got, want, rtol=64 * np.finfo(np.longdouble).eps, atol=0.0)
         for acc, edge in [args for args, _ in f4_steps] + [(_boxed((9, 10), np.s_[3:6, 4:7], 3), edge2)]:
             assert np.array_equal(_conv(acc, edge), _dense_conv(acc, edge))
     zero_planes = [np.zeros((5, 5, q + 1), dtype=np.longdouble) for q in range(5)]
-    got = _f3_step(zero_planes, edge4)
+    got = _f3_step(zero_planes, factors)
     assert [plane.shape for plane in got] == [(7, 7, p + 1) for p in range(7)]
     assert all(plane.dtype == np.longdouble and not plane.any() for plane in got)
     got = _conv(np.zeros((4, 5), dtype=np.longdouble), edge2)
@@ -843,9 +854,9 @@ def test_doubling_quadrature_leaves_f2_and_r3_stable():
 
 
 def test_r3_connected_pinned_values():
-    assert r3_connected(0.5, 1.0) == pytest.approx(-0.267997534511, abs=2e-9)
-    assert r3_connected(1.0, 2.0) == pytest.approx(-0.009909379941, abs=2e-9)
-    assert r3_connected(0.25, 0.5) == pytest.approx(-0.290643502908, abs=2e-9)
+    assert r3_connected(0.5, 1.0) == pytest.approx(-0.268118989014, abs=2e-9)
+    assert r3_connected(1.0, 2.0) == pytest.approx(-0.009573886820, abs=2e-9)
+    assert r3_connected(0.25, 0.5) == pytest.approx(-0.290550664222, abs=2e-9)
 
 
 def test_r3_full_takes_arrays():

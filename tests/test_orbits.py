@@ -210,6 +210,10 @@ def test_class_weight_sums_the_orbits_of_one_visit_vector():
         class_weight((2, 0), 3)
     with pytest.raises(ValueError):
         class_weight((), 3)
+    class_weight((1, 2), 3)  # a cached (1, 2) must not answer for (True, 2)
+    for counts, v in (((True, 2), 3), ((2, 2), True), ((2.5,), 3), ((2,), 3.0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            class_weight(counts, v)
 
 
 def test_necklaces_validate_arguments():
