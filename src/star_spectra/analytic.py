@@ -666,10 +666,11 @@ def _f3_edge_tensor(m_max: int) -> tuple:
     for t in range(1, m_max + 1):
         for s in range(m_max):
             a[t - 1, s] = _LONG(comb(s + t - 1, s)) / _LONG(factorial(t))
-            for tpp in range(s + 1, m_max + 1):
-                b[t - 1, tpp - 1, s] = _LONG(comb(tpp + t - s - 2, t - 1)) / _LONG(
-                    factorial(t) * factorial(tpp)
-                )
+    for tp in range(1, m_max + 1):
+        for tpp in range(1, m_max + 1):
+            base = _LONG(factorial(tp) * factorial(tpp))
+            for s in range(tpp):
+                b[tp - 1, tpp - 1, s] = _LONG(comb(tpp + tp - s - 2, tp - 1)) / base
     return a, b
 
 
@@ -969,14 +970,17 @@ def _f34_table(j_max: int, m_max: int):
     its alternating-term mass (worst near the (1,1) corner), and re-sampling
     the values on a different node set merely re-rolls that noise.
     Integrated, it is not small: at the default truncation, reordering the F3
-    chain's sums alone moved F3(1, 1) by 0.026 and r3_connected by up to
-    1.1e-4 (four points with |R3c| ~ 0.01-0.3); also rounding the edge
-    weights to extended precision instead of float64 moved them by 0.075 and
-    3.1e-4.  That 1e-4 is rounding only: F4 is not converged in j, and
-    taking it alone from j_max 6 to 8 moves r3_connected by 0.03-0.08 at five
-    points.  Nor is it converged in m: F4 at (m_max, j_max) = (14, 8) moves
-    r3_connected by -0.135 at (0.5, 1) and -0.151 at (0.75, 1.5) (ROADMAP
-    item 1).
+    chain's sums alone once moved F3(1, 1) by 0.026 and r3_connected by up
+    to 1.1e-4 (four points with |R3c| ~ 0.01-0.3).  Building the chain from
+    the extended-precision factors of its edge weights (`_f3_edge_tensor`)
+    instead of float64-rounded weights moved r3_connected by -1.2e-4,
+    +3.4e-4 and +9.3e-5 at (x, y) = (0.5, 1), (1, 2) and (0.25, 0.5), while
+    every chain cell now lies within a few ulps of the exact chain: the
+    noise is the alternating reassembly's.  That 1e-4 is rounding only: F4
+    is not converged in j, and taking it alone from j_max 6 to 8 moves
+    r3_connected by 0.03-0.08 at five points.  Nor is it converged in m: F4
+    at (m_max, j_max) = (14, 8) moves r3_connected by -0.135 at (0.5, 1) and
+    -0.151 at (0.75, 1.5) (ROADMAP item 1).
     """
     nodes, weights = _f34_rule(j_max, m_max)
     values = _f3_grid(nodes, nodes, j_max, m_max) + _f4_grid(nodes, nodes, j_max, m_max)
